@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
     let filter = Filter::choice_is(q::Q_FIELD, "neuroscience")
         .and(Filter::selected(q::Q_PARALLELISM, "gpu"));
     let serial = Engine::serial();
-    let simd = Engine::parallel_simd(2);
+    let parallel = Engine::parallel(2);
     let sel = cohort.select(&filter);
 
     let mut g = c.benchmark_group("e21_columnar");
@@ -44,9 +44,10 @@ fn bench(c: &mut Criterion) {
                 .expect("counts")
         })
     });
-    g.bench_function("multi_choice_counts_100k_simd", |b| {
+    g.bench_function("multi_choice_counts_100k_parallel", |b| {
         b.iter(|| {
-            simd.multi_choice_counts(&cohort, q::Q_LANGS, None)
+            parallel
+                .multi_choice_counts(&cohort, q::Q_LANGS, None)
                 .expect("counts")
         })
     });
@@ -57,9 +58,10 @@ fn bench(c: &mut Criterion) {
                 .expect("crosstab")
         })
     });
-    g.bench_function("likert_sum_100k_simd", |b| {
+    g.bench_function("likert_sum_100k_parallel", |b| {
         b.iter(|| {
-            simd.likert_sum_count(&cohort, q::PAIN_ITEMS[0], None)
+            parallel
+                .likert_sum_count(&cohort, q::PAIN_ITEMS[0], None)
                 .expect("likert sum")
         })
     });

@@ -1,11 +1,11 @@
 //! E23 (Figure 12): the cluster-DES scaling machinery — raw event-queue
-//! push/pop cost for the heap and calendar backends, a full serial
-//! replay per queue kind, and the windowed runner, plus the quick E23
-//! study end to end (every arm digest-verified before any timing).
+//! push/pop cost, a full serial replay, and the windowed runner, plus
+//! the quick E23 study end to end (every arm digest-verified before any
+//! timing).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rcr_bench::render;
-use rcr_cluster::event::{EventKind, EventQueue, QueueKind};
+use rcr_cluster::event::{EventKind, EventQueue};
 use rcr_cluster::sched::Policy;
 use rcr_cluster::sim::Simulator;
 use rcr_cluster::windowed::{WindowedSim, WindowedSpec};
@@ -17,10 +17,10 @@ use rcr_core::MASTER_SEED;
 
 const QUEUE_EVENTS: usize = 10_000;
 
-fn queue_churn(kind: QueueKind) -> usize {
+fn queue_churn() -> usize {
     // Interleaved push/pop with monotone-ish times: the DES access
     // pattern (pop-min, push a finish slightly in the future).
-    let mut q = EventQueue::with_kind(kind);
+    let mut q = EventQueue::new();
     let mut clock = 0.0f64;
     let mut popped = 0usize;
     for i in 0..QUEUE_EVENTS {
@@ -41,7 +41,7 @@ fn queue_churn(kind: QueueKind) -> usize {
 }
 
 fn bench(c: &mut Criterion) {
-    // The quick study first: verifies all three arms agree bit-for-bit
+    // The quick study first: verifies both arms agree bit-for-bit
     // before any microbenchmark number is printed.
     let ex = Experiments::new(MASTER_SEED);
     let points = ex
@@ -62,22 +62,9 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("e23_sim");
     g.sample_size(20);
-    g.bench_function("queue_churn_10k_heap", |b| {
-        b.iter(|| queue_churn(QueueKind::Heap))
-    });
-    g.bench_function("queue_churn_10k_calendar", |b| {
-        b.iter(|| queue_churn(QueueKind::Calendar))
-    });
+    g.bench_function("queue_churn_10k_heap", |b| b.iter(queue_churn));
     g.bench_function("serial_replay_2k_heap", |b| {
         let sim = Simulator::new(64, Policy::EasyBackfill)
-            .with_queue(QueueKind::Heap)
-            .with_faults(fault_model)
-            .expect("fault spec validates");
-        b.iter(|| sim.run(jobs.clone()).expect("replay runs"))
-    });
-    g.bench_function("serial_replay_2k_calendar", |b| {
-        let sim = Simulator::new(64, Policy::EasyBackfill)
-            .with_queue(QueueKind::Calendar)
             .with_faults(fault_model)
             .expect("fault spec validates");
         b.iter(|| sim.run(jobs.clone()).expect("replay runs"))
@@ -88,7 +75,6 @@ fn bench(c: &mut Criterion) {
             shards: 2,
             policy: Policy::EasyBackfill,
             faults: fault_model,
-            queue: QueueKind::Calendar,
             window: 5_000.0,
             threads: 2,
         })

@@ -1180,9 +1180,9 @@ mod tests {
     fn columnar_study_outputs_render() {
         let points = ex().e21_colstudy(&GapConfig::quick()).unwrap();
         let t = e21_table(&points);
-        assert_eq!(t.n_rows(), 8);
+        assert_eq!(t.n_rows(), 6);
         let ascii = t.render_ascii();
-        assert!(ascii.contains("columnar+simd") && ascii.contains("Mrows/s"));
+        assert!(ascii.contains("columnar+parallel") && ascii.contains("Mrows/s"));
         assert!(ascii.contains("vs row"));
         let fig = e21_figure(&points);
         assert!(fig.contains("<svg") && fig.contains("columnar+parallel"));
@@ -1192,15 +1192,15 @@ mod tests {
     #[test]
     fn sim_study_outputs_render() {
         let points = ex().e23_simstudy(&GapConfig::quick()).unwrap();
-        // Two quick sizes × three arms.
+        // Two quick sizes × two arms.
         let t = e23_table(&points);
-        assert_eq!(t.n_rows(), 6);
+        assert_eq!(t.n_rows(), 4);
         let ascii = t.render_ascii();
         assert!(ascii.contains("serial-heap") && ascii.contains("windowed-parallel"));
         assert!(ascii.contains("events/s") && ascii.contains("vs heap"));
         assert!(ascii.contains("checksum"));
         let fig = e23_figure(&points);
-        assert!(fig.contains("<svg") && fig.contains("serial-calendar"));
+        assert!(fig.contains("<svg") && fig.contains("windowed-parallel"));
         assert!(fig.contains("federation size"));
     }
 }

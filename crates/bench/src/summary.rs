@@ -51,7 +51,7 @@ impl HostInfo {
 /// One named metric of a summary.
 #[derive(Debug, Clone, Serialize)]
 pub struct Metric {
-    /// Stable metric name, e.g. `"rows_per_s/1000000/columnar+simd"`.
+    /// Stable metric name, e.g. `"rows_per_s/1000000/columnar+parallel"`.
     pub name: String,
     /// Metric value.
     pub value: f64,
@@ -280,7 +280,7 @@ pub fn summarize_e23(quick: bool, rows: &[SimPoint]) -> BenchSummary {
     let mut s = BenchSummary::new(
         "E23",
         "Figure 12",
-        "Cluster DES at scale: calendar queue and windowed-parallel replay",
+        "Cluster DES at scale: serial and windowed-parallel replay",
         quick,
     );
     let mut sizes: Vec<usize> = rows.iter().map(|r| r.nodes).collect();
@@ -405,10 +405,8 @@ mod tests {
         };
         let rows = vec![
             point(32, "serial-heap", 1.0),
-            point(32, "serial-calendar", 1.2),
             point(32, "windowed-parallel", 2.0),
             point(10_240, "serial-heap", 1.0),
-            point(10_240, "serial-calendar", 1.3),
             point(10_240, "windowed-parallel", 3.5),
         ];
         let s = summarize_e23(true, &rows);
@@ -423,6 +421,6 @@ mod tests {
         );
         // Size-free: quick and full sweeps must align structurally.
         assert!(names.iter().all(|n| !n.contains("10240")), "{names:?}");
-        assert_eq!(s.metrics.len(), 12);
+        assert_eq!(s.metrics.len(), 8);
     }
 }

@@ -65,16 +65,21 @@ pub struct Engine {
     dyn_seq: u64,
     events_processed: u64,
     last_time: f64,
+    /// Largest horizon advanced to (the last event time after a drain);
+    /// jobs submitted below it are rejected.
+    horizon: f64,
 }
 
 impl Engine {
     /// Creates an engine for `nodes` identical nodes under `policy`,
-    /// with fault behaviour `spec` and event storage `queue`.
+    /// with fault behaviour `spec`. The `queue` argument selects nothing
+    /// (the binary heap is the only event queue); it remains only for the
+    /// repository benchmark, which passes `QueueKind::default()`.
     ///
     /// # Errors
     /// [`Error::NoNodes`] on an empty cluster, [`Error::InvalidFaultSpec`]
     /// on an out-of-range spec.
-    pub fn new(nodes: usize, policy: Policy, spec: FaultSpec, queue: QueueKind) -> Result<Self> {
+    pub fn new(nodes: usize, policy: Policy, spec: FaultSpec, _queue: QueueKind) -> Result<Self> {
         if nodes == 0 {
             return Err(Error::NoNodes);
         }
@@ -85,7 +90,7 @@ impl Engine {
             spec,
             recovery: spec.recovery,
             inj: FaultInjector::new(&spec),
-            events: EventQueue::with_kind(queue),
+            events: EventQueue::new(),
             armed: false,
             free: nodes,
             queue: Vec::new(),
@@ -106,6 +111,7 @@ impl Engine {
             dyn_seq: 0,
             events_processed: 0,
             last_time: 0.0,
+            horizon: f64::NEG_INFINITY,
         })
     }
 
@@ -115,7 +121,10 @@ impl Engine {
     /// lies at or beyond every horizon already advanced past.
     ///
     /// # Errors
-    /// [`Error::InvalidJob`] or [`Error::JobTooWide`].
+    /// [`Error::InvalidJob`] or [`Error::JobTooWide`];
+    /// [`Error::UnsortedTrace`] when the submit time lies below the
+    /// largest horizon already advanced to (or, after a drain, below the
+    /// last processed event), since that event time has already passed.
     pub fn inject(&mut self, job: Job) -> Result<()> {
         if !job.is_valid() {
             return Err(Error::InvalidJob(job.id));
@@ -125,6 +134,13 @@ impl Engine {
                 job: job.id,
                 requested: job.nodes,
                 available: self.nodes,
+            });
+        }
+        if job.submit < self.horizon {
+            return Err(Error::UnsortedTrace {
+                job: job.id,
+                submit: job.submit,
+                prev: self.horizon,
             });
         }
         let idx = self.jobs.len();
@@ -180,6 +196,7 @@ impl Engine {
             self.drain();
             return;
         }
+        self.horizon = self.horizon.max(horizon);
         while let Some(ev) = self.events.pop_before(horizon) {
             self.step(ev.time, ev.kind);
         }
@@ -198,6 +215,7 @@ impl Engine {
             };
             self.step(ev.time, ev.kind);
         }
+        self.horizon = self.horizon.max(self.last_time);
     }
 
     /// Jobs injected so far.
@@ -411,8 +429,12 @@ mod tests {
         )
     }
 
-    fn run_all_upfront(trace: &[Job], kind: QueueKind) -> Outcome {
-        let mut eng = Engine::new(64, Policy::EasyBackfill, FaultSpec::none(7), kind).unwrap();
+    fn engine(nodes: usize, policy: Policy, spec: FaultSpec) -> Result<Engine> {
+        Engine::new(nodes, policy, spec, QueueKind::Heap)
+    }
+
+    fn run_all_upfront(trace: &[Job]) -> Outcome {
+        let mut eng = engine(64, Policy::EasyBackfill, FaultSpec::none(7)).unwrap();
         for j in trace {
             eng.inject(*j).unwrap();
         }
@@ -424,61 +446,67 @@ mod tests {
     fn windowed_advance_equals_upfront_drain() {
         // The determinism claim of the module docs, directly: lazy
         // injection + bounded advances ≡ inject-everything + drain,
-        // bitwise, on both queue backends.
+        // bitwise.
         let trace = jobs(250, 31);
-        for kind in QueueKind::ALL {
-            let all = run_all_upfront(&trace, kind);
-            let mut eng = Engine::new(64, Policy::EasyBackfill, FaultSpec::none(7), kind).unwrap();
-            let window = 5_000.0;
-            let mut next = 0usize;
-            let mut w = 0u64;
-            while next < trace.len() {
-                let horizon = (w + 1) as f64 * window;
-                while next < trace.len() && trace[next].submit < horizon {
-                    eng.inject(trace[next]).unwrap();
-                    next += 1;
-                }
-                eng.advance_to(horizon);
-                w += 1;
+        let all = run_all_upfront(&trace);
+        let mut eng = engine(64, Policy::EasyBackfill, FaultSpec::none(7)).unwrap();
+        let window = 5_000.0;
+        let mut next = 0usize;
+        let mut w = 0u64;
+        while next < trace.len() {
+            let horizon = (w + 1) as f64 * window;
+            while next < trace.len() && trace[next].submit < horizon {
+                eng.inject(trace[next]).unwrap();
+                next += 1;
             }
-            eng.drain();
-            assert_eq!(eng.into_outcome(), all, "{kind:?}");
+            eng.advance_to(horizon);
+            w += 1;
         }
+        eng.drain();
+        assert_eq!(eng.into_outcome(), all);
     }
 
     #[test]
-    fn heap_and_calendar_agree_under_faults() {
-        let trace = jobs(150, 13);
-        let spec = FaultSpec {
-            node_mtbf: 30_000.0,
-            repair_time: 300.0,
-            job_failure_prob: 0.05,
-            recovery: RecoveryPolicy::Checkpoint {
-                interval: 300.0,
-                overhead: 15.0,
-                max_retries: 5,
-            },
-            seed: 0xC0FFEE,
+    fn inject_rejects_jobs_below_the_advanced_horizon() {
+        let job = |id: u64, submit: f64| Job {
+            id,
+            submit,
+            nodes: 1,
+            runtime: 10.0,
+            estimate: 10.0,
         };
-        let run = |kind: QueueKind| {
-            let mut eng = Engine::new(64, Policy::EasyBackfill, spec, kind).unwrap();
-            for j in &trace {
-                eng.inject(*j).unwrap();
+        let mut eng = engine(4, Policy::Fcfs, FaultSpec::none(0)).unwrap();
+        eng.inject(job(1, 0.0)).unwrap();
+        eng.advance_to(100.0);
+        assert_eq!(
+            eng.inject(job(2, 5.0)).unwrap_err(),
+            Error::UnsortedTrace {
+                job: 2,
+                submit: 5.0,
+                prev: 100.0,
             }
-            eng.drain();
-            eng.into_outcome()
-        };
-        let heap = run(QueueKind::Heap);
-        let cal = run(QueueKind::Calendar);
-        assert_eq!(heap, cal);
-        assert!(heap.node_failures > 0, "the spec must actually fire");
-        assert!(heap.events > 0);
+        );
+        // At the horizon is still in the future.
+        eng.inject(job(3, 100.0)).unwrap();
+        eng.drain();
+        // After a drain the horizon is the last processed event: job 3
+        // finished at t = 110.
+        assert!(matches!(
+            eng.inject(job(4, 105.0)).unwrap_err(),
+            Error::UnsortedTrace { job: 4, prev, .. } if prev == 110.0
+        ));
+        eng.inject(job(5, 110.0)).unwrap();
+        eng.drain();
+        let out = eng.into_outcome();
+        let ids: Vec<u64> = out.completed.iter().map(|c| c.job.id).collect();
+        assert_eq!(ids, vec![1, 3, 5], "rejected jobs never ran");
+        assert!(out.completed.iter().all(|c| c.start >= c.job.submit));
     }
 
     #[test]
     fn events_are_counted_and_reported() {
         let trace = jobs(50, 3);
-        let out = run_all_upfront(&trace, QueueKind::Calendar);
+        let out = run_all_upfront(&trace);
         // At least one arrival and one finish per job.
         assert!(out.events >= 2 * trace.len() as u64);
         assert_eq!(out.completed.len(), trace.len());
@@ -487,11 +515,10 @@ mod tests {
     #[test]
     fn engine_rejects_bad_configs() {
         assert_eq!(
-            Engine::new(0, Policy::Fcfs, FaultSpec::none(0), QueueKind::Calendar).unwrap_err(),
+            engine(0, Policy::Fcfs, FaultSpec::none(0)).unwrap_err(),
             Error::NoNodes
         );
-        let mut eng =
-            Engine::new(4, Policy::Fcfs, FaultSpec::none(0), QueueKind::Calendar).unwrap();
+        let mut eng = engine(4, Policy::Fcfs, FaultSpec::none(0)).unwrap();
         let wide = Job {
             id: 9,
             submit: 0.0,
@@ -531,7 +558,7 @@ mod tests {
         };
         let spec_b = FaultSpec { seed: 2, ..spec_a };
         let run = |spec: FaultSpec| {
-            let mut eng = Engine::new(64, Policy::Fcfs, spec, QueueKind::Calendar).unwrap();
+            let mut eng = engine(64, Policy::Fcfs, spec).unwrap();
             eng.reseed(0xABCD);
             for j in &trace {
                 eng.inject(*j).unwrap();

@@ -1,14 +1,12 @@
-//! Event storage: a slab-backed calendar queue plus a binary-heap
-//! reference implementation, both popping in exact `(time, seq)` order.
+//! Event storage: a binary heap popping in exact `(time, seq)` order.
 //!
 //! # Ordering contract
 //!
-//! Every event carries a `(time, seq)` key and a queue pops keys in
+//! Every event carries a `(time, seq)` key and the queue pops keys in
 //! ascending lexicographic order: earliest time first, and — because
 //! [`EventQueue::push`] assigns `seq` monotonically — FIFO (insertion)
-//! order among events scheduled for the same instant. Both
-//! implementations honour the contract bit-for-bit; the equivalence
-//! proptest below pits them against a stable sort to enforce it.
+//! order among events scheduled for the same instant. The proptest
+//! below pits the queue against a stable sort to enforce it.
 //!
 //! The engine layers a *two-class* discipline on top of the raw key via
 //! [`EventQueue::push_at`] (see [`DYN_SEQ_BASE`]): job arrivals take low
@@ -20,20 +18,9 @@
 //! process events in exactly the order a fully pre-loaded serial run
 //! sees.
 //!
-//! # The calendar queue
-//!
-//! [`QueueKind::Calendar`] is a Brown-style calendar queue: a
-//! power-of-two array of buckets, each holding the ids of events whose
-//! time falls in one of the bucket's *slots* (`slot = ⌊time / width⌋`,
-//! `bucket = slot mod nbuckets`). Events live in a slab arena and are
-//! referenced by index, so pushes allocate nothing in steady state. A
-//! cursor walks slots in order; a pop scans the cursor's bucket for
-//! events in the current slot and takes the `(time, seq)` minimum, so
-//! the exact ordering contract is preserved — the bucketing only decides
-//! *where to look first*, never the result. The bucket count doubles and
-//! halves with occupancy and the slot width re-snaps to a power of two
-//! near twice the observed mean inter-pop gap, keeping pushes and pops
-//! O(1) amortized versus the heap's O(log n).
+//! A binary heap is enough: lazy window-by-window injection keeps the
+//! queue shallow, so an O(1) bucketed queue does not beat it (E23;
+//! DESIGN.md §9).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -120,258 +107,29 @@ impl PartialOrd for Event {
     }
 }
 
-/// Which event-queue implementation backs a simulation.
+/// Event-queue selector for [`crate::engine::Engine::new`]. It selects
+/// nothing: the binary heap is the only backend. The type remains only
+/// because the repository benchmark passes `QueueKind::default()` to
+/// `Engine::new`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueKind {
-    /// Binary-heap reference implementation: O(log n) push and pop.
-    Heap,
-    /// Slab-backed calendar queue: O(1) amortized push and pop.
+    /// The binary heap: O(log n) push and pop.
     #[default]
-    Calendar,
-}
-
-impl QueueKind {
-    /// Display name used in tables and figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Calendar => "calendar",
-        }
-    }
-
-    /// Both implementations, the heap reference first.
-    pub const ALL: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
-}
-
-/// Smallest bucket array the calendar queue keeps.
-const MIN_BUCKETS: usize = 16;
-/// Clamp on the slot-width exponent: widths span 2^-20 s (≈1 µs) to
-/// 2^40 s, which covers every simulation timescale the model produces.
-const WIDTH_EXP_MIN: i32 = -20;
-/// Upper clamp on the slot-width exponent.
-const WIDTH_EXP_MAX: i32 = 40;
-
-/// Snaps a positive gap estimate to the nearest power of two, clamped.
-/// Power-of-two widths make `time / width` an exact exponent shift, so
-/// the slot map is as uniform as the event stream itself.
-fn snap_width(gap: f64) -> f64 {
-    if !gap.is_finite() || gap <= 0.0 {
-        return 1.0;
-    }
-    let exp = (gap.log2().round() as i32).clamp(WIDTH_EXP_MIN, WIDTH_EXP_MAX);
-    2f64.powi(exp)
-}
-
-/// The calendar-queue backend. See the module docs for the design.
-#[derive(Debug)]
-struct CalendarQueue {
-    /// Event arena; buckets store indices into it.
-    slab: Vec<Event>,
-    /// Reusable arena slots.
-    free: Vec<u32>,
-    /// Power-of-two bucket array; slot `s` lives in bucket `s & mask`.
-    buckets: Vec<Vec<u32>>,
-    mask: u128,
-    /// Seconds per slot — always a power of two.
-    width: f64,
-    len: usize,
-    /// Lower bound on the earliest pending event's slot; pops scan
-    /// forward from here.
-    cur_slot: u128,
-    /// Pop statistics driving width re-estimation at resize time.
-    first_pop: f64,
-    last_pop: f64,
-    pops: u64,
-}
-
-impl CalendarQueue {
-    fn new() -> Self {
-        CalendarQueue {
-            slab: Vec::new(),
-            free: Vec::new(),
-            buckets: vec![Vec::new(); MIN_BUCKETS],
-            mask: (MIN_BUCKETS - 1) as u128,
-            width: 1.0,
-            len: 0,
-            cur_slot: 0,
-            first_pop: 0.0,
-            last_pop: 0.0,
-            pops: 0,
-        }
-    }
-
-    /// Slot of a (finite, non-negative) time. The `as u128` cast
-    /// truncates toward zero, i.e. floors, and saturates far above any
-    /// reachable slot number.
-    fn slot_of(&self, time: f64) -> u128 {
-        (time / self.width) as u128
-    }
-
-    fn push(&mut self, ev: Event) {
-        let id = match self.free.pop() {
-            Some(i) => {
-                self.slab[i as usize] = ev;
-                i
-            }
-            None => {
-                let i = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
-                self.slab.push(ev);
-                i
-            }
-        };
-        let slot = self.slot_of(ev.time);
-        if self.len == 0 || slot < self.cur_slot {
-            self.cur_slot = slot;
-        }
-        let b = (slot & self.mask) as usize;
-        self.buckets[b].push(id);
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
-    }
-
-    /// Removes and returns the earliest event if its time is strictly
-    /// below `horizon`; leaves the queue untouched otherwise.
-    fn pop_before(&mut self, horizon: f64) -> Option<Event> {
-        if self.len == 0 {
-            return None;
-        }
-        // Walk slots from the cursor; the first slot holding an event
-        // holds the global (time, seq) minimum, since the slot map is
-        // monotone in time.
-        for _ in 0..self.buckets.len() {
-            let b = (self.cur_slot & self.mask) as usize;
-            let mut best: Option<(usize, f64, u64)> = None;
-            for (pos, &id) in self.buckets[b].iter().enumerate() {
-                let ev = self.slab[id as usize];
-                if self.slot_of(ev.time) != self.cur_slot {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((_, bt, bs)) => (ev.time, ev.seq) < (bt, bs),
-                };
-                if better {
-                    best = Some((pos, ev.time, ev.seq));
-                }
-            }
-            if let Some((pos, time, _)) = best {
-                if time >= horizon {
-                    return None;
-                }
-                return Some(self.remove_at(b, pos));
-            }
-            self.cur_slot += 1;
-        }
-        // A full empty cycle: pending events are sparse relative to the
-        // bucket array. Find the global minimum directly and re-anchor
-        // the cursor on it.
-        let mut best: Option<(usize, usize, f64, u64)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (pos, &id) in bucket.iter().enumerate() {
-                let ev = self.slab[id as usize];
-                let better = match best {
-                    None => true,
-                    Some((_, _, bt, bs)) => (ev.time, ev.seq) < (bt, bs),
-                };
-                if better {
-                    best = Some((b, pos, ev.time, ev.seq));
-                }
-            }
-        }
-        let (b, pos, time, _) = best.expect("len > 0 guarantees a pending event");
-        self.cur_slot = self.slot_of(time);
-        if time >= horizon {
-            return None;
-        }
-        Some(self.remove_at(b, pos))
-    }
-
-    fn remove_at(&mut self, bucket: usize, pos: usize) -> Event {
-        let id = self.buckets[bucket].swap_remove(pos);
-        let ev = self.slab[id as usize];
-        self.free.push(id);
-        self.len -= 1;
-        if self.pops == 0 {
-            self.first_pop = ev.time;
-        }
-        self.last_pop = ev.time;
-        self.pops += 1;
-        if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        ev
-    }
-
-    /// Rebuilds the bucket array at `new_n` buckets, re-estimating the
-    /// slot width from the observed mean inter-pop gap once enough pops
-    /// have accumulated to trust it.
-    fn resize(&mut self, new_n: usize) {
-        let new_n = new_n.max(MIN_BUCKETS).next_power_of_two();
-        if self.pops >= 64 && self.last_pop > self.first_pop {
-            let gap = (self.last_pop - self.first_pop) / self.pops as f64;
-            // Aim for a couple of events per slot.
-            self.width = snap_width(2.0 * gap);
-        }
-        let ids: Vec<u32> = self.buckets.iter().flatten().copied().collect();
-        self.buckets = vec![Vec::new(); new_n];
-        self.mask = (new_n - 1) as u128;
-        let mut min_slot: Option<u128> = None;
-        for id in ids {
-            let slot = self.slot_of(self.slab[id as usize].time);
-            min_slot = Some(min_slot.map_or(slot, |m| m.min(slot)));
-            self.buckets[(slot & self.mask) as usize].push(id);
-        }
-        self.cur_slot = min_slot.unwrap_or(0);
-    }
-}
-
-#[derive(Debug)]
-enum Backend {
-    Heap(BinaryHeap<Event>),
-    Calendar(CalendarQueue),
+    Heap,
 }
 
 /// Deterministic time-ordered event queue; see the module docs for the
-/// ordering contract shared by both backends.
-#[derive(Debug)]
+/// ordering contract.
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    backend: Backend,
+    heap: BinaryHeap<Event>,
     next_seq: u64,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::with_kind(QueueKind::default())
-    }
-}
-
 impl EventQueue {
-    /// Creates an empty queue on the default backend
-    /// ([`QueueKind::Calendar`]).
+    /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty queue on the chosen backend.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let backend = match kind {
-            QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-        };
-        EventQueue {
-            backend,
-            next_seq: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self.backend {
-            Backend::Heap(_) => QueueKind::Heap,
-            Backend::Calendar(_) => QueueKind::Calendar,
-        }
     }
 
     /// Schedules an event at `time` with the next monotone sequence
@@ -394,11 +152,7 @@ impl EventQueue {
     pub fn push_at(&mut self, time: f64, seq: u64, kind: EventKind) {
         assert!(time.is_finite(), "event time must be finite");
         self.next_seq = self.next_seq.max(seq.saturating_add(1));
-        let ev = Event { time, seq, kind };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(ev),
-            Backend::Calendar(c) => c.push(ev),
-        }
+        self.heap.push(Event { time, seq, kind });
     }
 
     /// Removes and returns the earliest event.
@@ -410,21 +164,15 @@ impl EventQueue {
     /// strictly below `horizon`; returns `None` (and leaves the queue
     /// untouched) otherwise. The windowed runner's barrier primitive.
     pub fn pop_before(&mut self, horizon: f64) -> Option<Event> {
-        match &mut self.backend {
-            Backend::Heap(h) => match h.peek() {
-                Some(ev) if ev.time < horizon => h.pop(),
-                _ => None,
-            },
-            Backend::Calendar(c) => c.pop_before(horizon),
+        match self.heap.peek() {
+            Some(ev) if ev.time < horizon => self.heap.pop(),
+            _ => None,
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
+        self.heap.len()
     }
 
     /// True when no events are pending.
@@ -437,43 +185,33 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    fn each_kind(f: impl Fn(EventQueue)) {
-        for kind in QueueKind::ALL {
-            f(EventQueue::with_kind(kind));
-        }
-    }
-
     #[test]
     fn pops_in_time_order() {
-        each_kind(|mut q| {
-            q.push(5.0, EventKind::Arrival { job: 0 });
-            q.push(1.0, EventKind::Arrival { job: 1 });
-            q.push(3.0, EventKind::Finish { job: 2, attempt: 1 });
-            let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
-            assert_eq!(order, vec![1.0, 3.0, 5.0], "{:?}", q.kind());
-        });
+        let mut q = EventQueue::new();
+        q.push(5.0, EventKind::Arrival { job: 0 });
+        q.push(1.0, EventKind::Arrival { job: 1 });
+        q.push(3.0, EventKind::Finish { job: 2, attempt: 1 });
+        let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
+        assert_eq!(order, vec![1.0, 3.0, 5.0]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
         // The FIFO contract: same-timestamp events pop in push order,
-        // whatever their kinds, on both backends.
-        each_kind(|mut q| {
-            q.push(2.0, EventKind::Finish { job: 0, attempt: 1 });
-            q.push(2.0, EventKind::Arrival { job: 1 });
-            q.push(2.0, EventKind::Arrival { job: 2 });
-            let kinds: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
-            assert_eq!(
-                kinds,
-                vec![
-                    EventKind::Finish { job: 0, attempt: 1 },
-                    EventKind::Arrival { job: 1 },
-                    EventKind::Arrival { job: 2 },
-                ],
-                "{:?}",
-                q.kind()
-            );
-        });
+        // whatever their kinds.
+        let mut q = EventQueue::new();
+        q.push(2.0, EventKind::Finish { job: 0, attempt: 1 });
+        q.push(2.0, EventKind::Arrival { job: 1 });
+        q.push(2.0, EventKind::Arrival { job: 2 });
+        let kinds: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::Finish { job: 0, attempt: 1 },
+                EventKind::Arrival { job: 1 },
+                EventKind::Arrival { job: 2 },
+            ]
+        );
     }
 
     #[test]
@@ -481,41 +219,38 @@ mod tests {
         // An arrival pushed *after* a dynamic event but with a class-0
         // seq still pops first at a tied timestamp — the invariance that
         // makes lazy window-by-window injection exact.
-        each_kind(|mut q| {
-            q.push_at(7.0, DYN_SEQ_BASE, EventKind::Finish { job: 0, attempt: 1 });
-            q.push_at(7.0, 0, EventKind::Arrival { job: 1 });
-            assert_eq!(q.pop().unwrap().kind, EventKind::Arrival { job: 1 });
-            assert_eq!(
-                q.pop().unwrap().kind,
-                EventKind::Finish { job: 0, attempt: 1 }
-            );
-        });
+        let mut q = EventQueue::new();
+        q.push_at(7.0, DYN_SEQ_BASE, EventKind::Finish { job: 0, attempt: 1 });
+        q.push_at(7.0, 0, EventKind::Arrival { job: 1 });
+        assert_eq!(q.pop().unwrap().kind, EventKind::Arrival { job: 1 });
+        assert_eq!(
+            q.pop().unwrap().kind,
+            EventKind::Finish { job: 0, attempt: 1 }
+        );
     }
 
     #[test]
     fn pop_before_respects_the_horizon() {
-        each_kind(|mut q| {
-            q.push(1.0, EventKind::Arrival { job: 0 });
-            q.push(5.0, EventKind::Arrival { job: 1 });
-            assert_eq!(q.pop_before(5.0).unwrap().time, 1.0);
-            assert_eq!(q.pop_before(5.0), None, "strictly-below horizon");
-            assert_eq!(q.len(), 1, "a refused pop leaves the queue intact");
-            assert_eq!(q.pop_before(5.1).unwrap().time, 5.0);
-            assert!(q.is_empty());
-            assert_eq!(q.pop_before(f64::INFINITY), None);
-        });
+        let mut q = EventQueue::new();
+        q.push(1.0, EventKind::Arrival { job: 0 });
+        q.push(5.0, EventKind::Arrival { job: 1 });
+        assert_eq!(q.pop_before(5.0).unwrap().time, 1.0);
+        assert_eq!(q.pop_before(5.0), None, "strictly-below horizon");
+        assert_eq!(q.len(), 1, "a refused pop leaves the queue intact");
+        assert_eq!(q.pop_before(5.1).unwrap().time, 5.0);
+        assert!(q.is_empty());
+        assert_eq!(q.pop_before(f64::INFINITY), None);
     }
 
     #[test]
     fn len_and_empty() {
-        each_kind(|mut q| {
-            assert!(q.is_empty());
-            q.push(1.0, EventKind::Arrival { job: 0 });
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.push(1.0, EventKind::Arrival { job: 0 });
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -527,65 +262,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite")]
     fn non_finite_time_panics_on_heap_too() {
-        EventQueue::with_kind(QueueKind::Heap).push(f64::INFINITY, EventKind::Arrival { job: 0 });
-    }
-
-    #[test]
-    fn calendar_survives_growth_shrink_and_wide_time_ranges() {
-        // Enough events to force several grows, then drain to force
-        // shrinks; times span ten orders of magnitude with deliberate
-        // ties, and interleaved pushes land "in the past" relative to
-        // the cursor.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        let mut reference: Vec<(f64, u64)> = Vec::new();
-        let mut state = 0x1234_5678_u64;
-        let mut lcg = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for i in 0..5000u64 {
-            let t = match i % 5 {
-                0 => (lcg() % 1000) as f64,
-                1 => (lcg() % 10) as f64, // heavy ties
-                2 => (lcg() % 1_000_000) as f64 * 1e3,
-                3 => (lcg() % 100) as f64 * 1e-4,
-                _ => (lcg() % 50_000) as f64,
-            };
-            q.push(t, EventKind::Arrival { job: i as usize });
-            reference.push((t, i));
-        }
-        // Drain a third, push more at early times, then drain fully.
-        reference.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        let mut popped: Vec<(f64, u64)> = Vec::new();
-        for _ in 0..1500 {
-            let ev = q.pop().unwrap();
-            popped.push((ev.time, ev.seq));
-        }
-        for i in 5000..5100u64 {
-            let t = (lcg() % 2000) as f64;
-            q.push(t, EventKind::Arrival { job: i as usize });
-            reference.push((t, i));
-        }
-        reference.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        while let Some(ev) = q.pop() {
-            popped.push((ev.time, ev.seq));
-        }
-        assert_eq!(popped.len(), reference.len());
-        // Everything popped in exact (time, seq) order, including the
-        // re-pushed early events after their insertion point.
-        let mut expect = reference.clone();
-        // The first 1500 pops happened before the late pushes, so they
-        // are the sorted prefix of the *original* 5000.
-        let mut original: Vec<(f64, u64)> = expect.iter().copied().filter(|e| e.1 < 5000).collect();
-        original.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        assert_eq!(&popped[..1500], &original[..1500]);
-        // The remainder is the sorted rest (original tail + late pushes).
-        let drained: std::collections::HashSet<(u64,)> =
-            popped[..1500].iter().map(|e| (e.1,)).collect();
-        expect.retain(|e| !drained.contains(&(e.1,)));
-        assert_eq!(&popped[1500..], &expect[..]);
+        EventQueue::new().push(f64::INFINITY, EventKind::Arrival { job: 0 });
     }
 
     mod equivalence_props {
@@ -603,26 +280,21 @@ mod tests {
 
         proptest! {
             #[test]
-            fn heap_calendar_and_stable_sort_agree(ts in proptest::collection::vec(times(), 1..300)) {
-                let mut heap = EventQueue::with_kind(QueueKind::Heap);
-                let mut cal = EventQueue::with_kind(QueueKind::Calendar);
+            fn heap_and_stable_sort_agree(ts in proptest::collection::vec(times(), 1..300)) {
+                let mut heap = EventQueue::new();
                 let mut reference: Vec<Event> = Vec::new();
                 for (i, &t) in ts.iter().enumerate() {
                     let kind = EventKind::Arrival { job: i };
                     heap.push(t, kind);
-                    cal.push(t, kind);
                     reference.push(Event { time: t, seq: i as u64, kind });
                 }
                 // Stable sort by time alone: seq (push order) breaks ties,
                 // which is exactly the FIFO contract.
                 reference.sort_by(|a, b| a.time.partial_cmp(&b.time).unwrap());
                 for want in &reference {
-                    let h = heap.pop().unwrap();
-                    let c = cal.pop().unwrap();
-                    prop_assert_eq!(h, c);
-                    prop_assert_eq!(h, *want);
+                    prop_assert_eq!(heap.pop().unwrap(), *want);
                 }
-                prop_assert!(heap.is_empty() && cal.is_empty());
+                prop_assert!(heap.is_empty());
             }
 
             #[test]
@@ -631,25 +303,23 @@ mod tests {
                 window in 1u32..64,
             ) {
                 // Popping through fixed horizons yields the same sequence
-                // as popping freely — on both backends.
-                for kind in QueueKind::ALL {
-                    let mut free_q = EventQueue::with_kind(kind);
-                    let mut win_q = EventQueue::with_kind(kind);
-                    for (i, &t) in ts.iter().enumerate() {
-                        free_q.push(t, EventKind::Arrival { job: i });
-                        win_q.push(t, EventKind::Arrival { job: i });
-                    }
-                    let free: Vec<Event> = std::iter::from_fn(|| free_q.pop()).collect();
-                    let mut windowed = Vec::new();
-                    let mut horizon = f64::from(window);
-                    while windowed.len() < free.len() {
-                        while let Some(ev) = win_q.pop_before(horizon) {
-                            windowed.push(ev);
-                        }
-                        horizon += f64::from(window);
-                    }
-                    prop_assert_eq!(&free, &windowed);
+                // as popping freely.
+                let mut free_q = EventQueue::new();
+                let mut win_q = EventQueue::new();
+                for (i, &t) in ts.iter().enumerate() {
+                    free_q.push(t, EventKind::Arrival { job: i });
+                    win_q.push(t, EventKind::Arrival { job: i });
                 }
+                let free: Vec<Event> = std::iter::from_fn(|| free_q.pop()).collect();
+                let mut windowed = Vec::new();
+                let mut horizon = f64::from(window);
+                while windowed.len() < free.len() {
+                    while let Some(ev) = win_q.pop_before(horizon) {
+                        windowed.push(ev);
+                    }
+                    horizon += f64::from(window);
+                }
+                prop_assert_eq!(&free, &windowed);
             }
         }
     }

@@ -22,13 +22,11 @@
 //! and badput.
 //!
 //! Experiment E23 scales the core to ROADMAP item 4's 10k+ nodes and
-//! millions of jobs: [`event`] stores pending events in a slab-backed
-//! calendar queue (the binary heap stays as a reference implementation
-//! behind [`event::QueueKind`]), [`engine`] exposes the event loop as a
-//! resumable engine, and [`windowed`] runs sharded sub-clusters in
-//! conservative time windows on the `rcr-kernels` work-stealing pool —
-//! with outcomes bit-for-bit identical to the serial heap run
-//! (test-enforced; see `Outcome::digest`). [`swf::stream_jobs`] replays
+//! millions of jobs: [`event`] stores pending events in a binary heap,
+//! [`engine`] exposes the event loop as a resumable engine, and
+//! [`windowed`] runs sharded sub-clusters in conservative time windows
+//! on the `rcr-kernels` work-stealing pool — with outcomes bit-for-bit
+//! identical to the serial run (test-enforced; see `Outcome::digest`). [`swf::stream_jobs`] replays
 //! SWF traces without materializing them.
 //!
 //! ```
@@ -82,13 +80,16 @@ pub enum Error {
     /// non-positive window width, ...).
     InvalidWindowedSpec(String),
     /// A streamed trace handed to the windowed runner was not sorted by
-    /// submit time, which would make lazy injection unsound.
+    /// submit time, or a job was injected into an engine at a time the
+    /// engine had already advanced past; either would make lazy
+    /// injection unsound.
     UnsortedTrace {
         /// The out-of-order job's id.
         job: u64,
         /// Its submit time.
         submit: f64,
-        /// The largest submit time seen before it.
+        /// The largest submit time seen before it, or the engine's
+        /// advanced horizon.
         prev: f64,
     },
 }

@@ -30,7 +30,7 @@ pub struct Outcome {
     /// Policy that produced this outcome.
     pub policy: Policy,
     /// Events the engine processed to produce this outcome — identical
-    /// across queue backends and window schedules by construction, and
+    /// across window schedules and thread counts by construction, and
     /// the numerator of the E23 events/sec metric.
     pub events: u64,
 }
@@ -60,8 +60,8 @@ impl Outcome {
 
     /// Order-sensitive FNV-1a checksum over every field of the outcome.
     /// Two runs are bit-for-bit identical iff their digests match, which
-    /// is how E23 verifies the calendar-queue and windowed-parallel arms
-    /// against the serial heap baseline before timing anything.
+    /// is how E23 verifies the windowed-parallel arm against the serial
+    /// baseline before timing anything.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.push(self.completed.len() as u64);
@@ -116,30 +116,18 @@ pub struct Simulator {
     nodes: usize,
     policy: Policy,
     faults: Option<FaultSpec>,
-    queue: QueueKind,
 }
 
 impl Simulator {
     /// Creates a simulator for a cluster with `nodes` identical nodes under
     /// the given policy. No faults are injected; every run is equivalent to
-    /// perfectly reliable hardware. Events are stored in the default
-    /// [`QueueKind::Calendar`] queue; [`Simulator::with_queue`] selects the
-    /// heap reference implementation instead.
+    /// perfectly reliable hardware.
     pub fn new(nodes: usize, policy: Policy) -> Self {
         Simulator {
             nodes,
             policy,
             faults: None,
-            queue: QueueKind::default(),
         }
-    }
-
-    /// Selects the event-queue implementation. Outcomes are bit-for-bit
-    /// identical across kinds (test-enforced); the choice only affects
-    /// speed.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Enables fault injection under `spec`, validating it first.
@@ -179,7 +167,7 @@ impl Simulator {
             }
         }
         let spec = self.faults.unwrap_or(FaultSpec::none(0));
-        let mut engine = Engine::new(self.nodes, self.policy, spec, self.queue)?;
+        let mut engine = Engine::new(self.nodes, self.policy, spec, QueueKind::Heap)?;
         for job in jobs {
             engine.inject(job)?;
         }
@@ -410,32 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_kinds_are_bitwise_equivalent() {
-        // The tentpole invariant at the Simulator level: the calendar
-        // queue is a pure performance substitution for the heap.
-        let jobs = generate(
-            &WorkloadSpec {
-                n_jobs: 400,
-                offered_load: 0.9,
-                ..Default::default()
-            },
-            23,
-        );
-        for policy in Policy::ALL {
-            let heap = Simulator::new(64, policy)
-                .with_queue(QueueKind::Heap)
-                .run(jobs.clone())
-                .unwrap();
-            let cal = Simulator::new(64, policy)
-                .with_queue(QueueKind::Calendar)
-                .run(jobs.clone())
-                .unwrap();
-            assert_eq!(heap, cal, "{policy:?}");
-            assert_eq!(heap.digest(), cal.digest(), "{policy:?}");
-        }
-    }
-
-    #[test]
     fn digest_separates_different_outcomes() {
         let jobs = generate(
             &WorkloadSpec {
@@ -661,43 +623,6 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(a.node_failures > 0);
-    }
-
-    #[test]
-    fn faulty_runs_agree_across_queue_kinds() {
-        // E14's regeneration guarantee: resilience metrics are identical
-        // on the serial-heap and serial-calendar arms.
-        let jobs = generate(
-            &WorkloadSpec {
-                n_jobs: 150,
-                ..Default::default()
-            },
-            19,
-        );
-        let spec = FaultSpec {
-            node_mtbf: 25_000.0,
-            repair_time: 1800.0,
-            job_failure_prob: 0.02,
-            recovery: RecoveryPolicy::Checkpoint {
-                interval: 600.0,
-                overhead: 30.0,
-                max_retries: 5,
-            },
-            seed: 0xFA17,
-        };
-        let run = |kind: QueueKind| {
-            Simulator::new(64, Policy::EasyBackfill)
-                .with_queue(kind)
-                .with_faults(spec)
-                .unwrap()
-                .run(jobs.clone())
-                .unwrap()
-        };
-        let heap = run(QueueKind::Heap);
-        let cal = run(QueueKind::Calendar);
-        assert_eq!(heap, cal);
-        assert_eq!(heap.resilience(), cal.resilience());
-        assert!(heap.node_failures > 0);
     }
 
     #[test]

@@ -91,8 +91,6 @@ pub struct WindowedSpec {
     /// Fault model (use [`FaultSpec::none`] for reliable hardware). Its
     /// seed is the root of every `(shard, window)` stream.
     pub faults: FaultSpec,
-    /// Event-queue implementation for every shard engine.
-    pub queue: QueueKind,
     /// Window width in seconds. Must be positive; `f64::INFINITY` runs
     /// the whole trace as one window (the serial-fallback configuration).
     pub window: f64,
@@ -238,7 +236,7 @@ impl WindowedSim {
                 spec.nodes_per_shard,
                 spec.policy,
                 spec.faults,
-                spec.queue,
+                QueueKind::Heap,
             )?));
         }
 
@@ -366,7 +364,6 @@ mod tests {
             shards: 4,
             policy: Policy::EasyBackfill,
             faults: faulty(),
-            queue: QueueKind::Calendar,
             window: 10_000.0,
             threads: 1,
         }
@@ -416,27 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_kinds_agree_in_windowed_mode() {
-        let jobs = trace(500, 43);
-        let run = |queue: QueueKind, threads: usize| {
-            WindowedSim::new(WindowedSpec {
-                queue,
-                threads,
-                ..base_spec()
-            })
-            .unwrap()
-            .run(jobs.clone())
-            .unwrap()
-        };
-        let heap = run(QueueKind::Heap, 1);
-        let cal = run(QueueKind::Calendar, 1);
-        let cal_par = run(QueueKind::Calendar, 4);
-        assert_eq!(heap.digest(), cal.digest());
-        assert_eq!(heap.digest(), cal_par.digest());
-        assert_eq!(heap, cal);
-    }
-
-    #[test]
     fn infinite_window_single_shard_replays_the_serial_simulator() {
         // The forced-serial fallback: one shard, one window, one thread
         // is the plain Simulator, bitwise (window_stream_seed(s,0,0) = s).
@@ -451,7 +427,6 @@ mod tests {
         assert_eq!(windowed.windows, 1);
         assert_eq!(windowed.shards.len(), 1);
         let serial = Simulator::new(spec.nodes_per_shard, spec.policy)
-            .with_queue(spec.queue)
             .with_faults(spec.faults)
             .unwrap()
             .run(jobs)

@@ -2,7 +2,7 @@
 //!
 //! One synthetic 2024-wave population per size (10⁴ → 10⁷ respondents,
 //! generated straight into columns by the streaming generator) is queried
-//! by a fixed four-query analytics suite under four execution tiers:
+//! by a fixed four-query analytics suite under three execution tiers:
 //!
 //! * `row` — the original row engine: per-respondent `BTreeMap` answer
 //!   lookups and string compares, exactly the loops behind
@@ -10,9 +10,7 @@
 //! * `columnar` — the serial columnar engine: dictionary codes, validity
 //!   bitmaps, and selection vectors ([`rcr_survey::columnar::Engine`]);
 //! * `columnar+parallel` — row chunks fanned out over the work-stealing
-//!   pool with deterministic partial merging;
-//! * `columnar+simd` — the parallel driver with [`rcr_kernels::simd`]
-//!   lane bodies for the floating-point reductions.
+//!   pool with deterministic partial merging.
 //!
 //! The suite: Q1 counts a conjunctive filter (neuroscience ∧ GPU), Q2
 //! tabulates the multi-choice language battery, Q3 cross-tabulates field ×
@@ -47,7 +45,7 @@ use crate::{Error, Result};
 
 /// Tier labels in sweep order; `row` must come first (it is the speedup
 /// baseline and the verification reference).
-pub const TIERS: [&str; 4] = ["row", "columnar", "columnar+parallel", "columnar+simd"];
+pub const TIERS: [&str; 3] = ["row", "columnar", "columnar+parallel"];
 
 /// Column passes per suite evaluation (Q1–Q4), used to convert median
 /// seconds into rows scanned per second.
@@ -347,11 +345,7 @@ pub fn run(seed: u64, config: &GapConfig) -> Result<Vec<ColPoint>> {
             verified: true,
         });
 
-        for engine in [
-            Engine::serial(),
-            Engine::parallel(threads),
-            Engine::parallel_simd(threads),
-        ] {
+        for engine in [Engine::serial(), Engine::parallel(threads)] {
             let agg = columnar_suite(&engine, &cohort, &ctx)?;
             if agg.checksum() != row_checksum || agg != row_agg {
                 return Err(Error::VerificationFailed(format!(

@@ -28,12 +28,12 @@
 //!   and the static-admission arm of the serving story;
 //! * [`colstudy`] — the columnar analytics scaling study: the survey
 //!   query suite on 10⁴–10⁷-respondent populations under the row engine
-//!   and the serial/parallel/SIMD columnar tiers, every cell verified
+//!   and the serial/parallel columnar tiers, every cell verified
 //!   against the row reference before timing;
-//! * [`simstudy`] — the cluster-simulator scaling study: calendar-queue
-//!   and windowed-parallel DES arms replaying SWF traces on federations
-//!   up to 10k+ nodes and a million jobs, every arm digest-verified
-//!   against the serial heap baseline before timing;
+//! * [`simstudy`] — the cluster-simulator scaling study: serial and
+//!   windowed-parallel DES arms replaying SWF traces on federations up
+//!   to 10k+ nodes and a million jobs, the parallel arm digest-verified
+//!   against the serial baseline before timing;
 //! * [`experiments`] — the registry mapping experiment ids E1–E23 to
 //!   drivers that regenerate each table and figure (see `DESIGN.md` §4).
 //!

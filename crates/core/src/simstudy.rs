@@ -4,17 +4,16 @@
 //! realistic scale — 10k+ nodes, millions of jobs — instead of the
 //! 64-node × 2000-job toys of E9/E10/E14. This study measures the DES
 //! core rebuilt for that scale: simulated events per second across
-//! federation sizes under three arms,
+//! federation sizes under two arms,
 //!
-//! * `serial-heap` — one thread, the original `BinaryHeap` event queue
-//!   (the reference implementation and the speedup baseline);
-//! * `serial-calendar` — one thread, the slab-backed calendar queue;
-//! * `windowed-parallel` — the calendar queue under the conservative
+//! * `serial-heap` — one thread, the binary-heap event queue (the
+//!   reference and the speedup baseline);
+//! * `windowed-parallel` — the same queue under the conservative
 //!   time-windowed runner, shards advanced in parallel on the
 //!   `rcr-kernels` work-stealing pool.
 //!
-//! Every arm runs the **same** windowed schedule (same shard count, same
-//! window width, same per-`(shard, window)` fault streams), so the three
+//! Both arms run the **same** windowed schedule (same shard count, same
+//! window width, same per-`(shard, window)` fault streams), so the two
 //! merged outcomes must be bit-for-bit identical; each arm's
 //! [`rcr_cluster::windowed::WindowedOutcome::digest`] is checked against
 //! the serial-heap reference **before** its timing is trusted, and a
@@ -35,7 +34,6 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use rcr_cluster::event::QueueKind;
 use rcr_cluster::faults::{FaultSpec, RecoveryPolicy};
 use rcr_cluster::sched::Policy;
 use rcr_cluster::swf::{from_swf, stream_jobs, to_swf};
@@ -47,7 +45,7 @@ use crate::{Error, Result};
 
 /// Arm labels in sweep order; `serial-heap` must come first (it is the
 /// speedup baseline and the digest reference).
-pub const ARMS: [&str; 3] = ["serial-heap", "serial-calendar", "windowed-parallel"];
+pub const ARMS: [&str; 2] = ["serial-heap", "windowed-parallel"];
 
 /// Windows per trace span: the window width is the full submit span
 /// divided by this, so every size runs a comparable number of barriers.
@@ -195,20 +193,14 @@ pub fn run(seed: u64, config: &GapConfig) -> Result<Vec<SimPoint>> {
         let span = jobs.last().map_or(1.0, |j| j.submit);
         let window = (span / WINDOWS_PER_SPAN).max(1.0);
         let reps = reps_for(total_jobs, config.quick);
-        let arm_specs = [
-            (ARMS[0], QueueKind::Heap, 1usize),
-            (ARMS[1], QueueKind::Calendar, 1),
-            (ARMS[2], QueueKind::Calendar, threads),
-        ];
         let mut reference: Option<u64> = None;
         let mut heap_median = 1.0f64;
-        for (arm, queue, arm_threads) in arm_specs {
+        for (arm, arm_threads) in [(ARMS[0], 1usize), (ARMS[1], threads)] {
             let sim = WindowedSim::new(WindowedSpec {
                 nodes_per_shard,
                 shards,
                 policy: Policy::EasyBackfill,
                 faults: fault_model(seed ^ 0xE23),
-                queue,
                 window,
                 threads: arm_threads,
             })?;
@@ -295,7 +287,6 @@ mod tests {
             }
             assert!((cell[0].speedup_vs_heap - 1.0).abs() < 1e-12);
             assert_eq!(cell[0].threads, 1);
-            assert_eq!(cell[1].threads, 1);
         }
     }
 

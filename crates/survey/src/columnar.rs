@@ -1,6 +1,6 @@
 //! Columnar execution engine: cohorts stored one typed column per
 //! question, filters compiled to selection vectors, and the hot
-//! aggregations re-implemented as serial / parallel / SIMD kernels.
+//! aggregations re-implemented as serial / parallel kernels.
 //!
 //! The row engine ([`crate::cohort::Cohort`]) evaluates every query
 //! respondent-at-a-time over `Vec<Response>`, paying a `BTreeMap` lookup
@@ -39,7 +39,6 @@ use std::sync::Mutex;
 
 use rcr_kernels::bitmap::{words_for, Bitmap, WORD_BITS};
 use rcr_kernels::par::{self, Scheduler};
-use rcr_kernels::simd::F64Lanes;
 
 use crate::cohort::Cohort;
 use crate::query::Filter;
@@ -835,11 +834,8 @@ fn pack_rows<P: Fn(usize) -> bool>(
 pub enum Tier {
     /// Single-threaded, one pass over the column.
     Serial,
-    /// Row chunks fanned out over a [`Scheduler`], scalar chunk bodies.
+    /// Row chunks fanned out over a [`Scheduler`].
     Parallel,
-    /// Row chunks fanned out over a [`Scheduler`], SIMD
-    /// ([`F64Lanes`]) chunk bodies for the floating-point reductions.
-    ParallelSimd,
 }
 
 impl Tier {
@@ -848,7 +844,6 @@ impl Tier {
         match self {
             Tier::Serial => "columnar",
             Tier::Parallel => "columnar+parallel",
-            Tier::ParallelSimd => "columnar+simd",
         }
     }
 }
@@ -863,7 +858,7 @@ impl Tier {
 pub struct Engine {
     /// Which execution tier to run.
     pub tier: Tier,
-    /// Worker threads for the parallel tiers.
+    /// Worker threads for the parallel tier.
     pub threads: usize,
     /// Scheduler fanning chunks out to workers.
     pub scheduler: Scheduler,
@@ -893,17 +888,7 @@ impl Engine {
         }
     }
 
-    /// Parallel SIMD engine on the work-stealing pool.
-    pub fn parallel_simd(threads: usize) -> Self {
-        Engine {
-            tier: Tier::ParallelSimd,
-            threads: threads.max(1),
-            scheduler: Scheduler::WorkStealing,
-            chunk_rows: DEFAULT_CHUNK_ROWS,
-        }
-    }
-
-    /// Overrides the scheduler (the parallel tiers default to
+    /// Overrides the scheduler (the parallel tier defaults to
     /// work-stealing).
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;
@@ -918,8 +903,8 @@ impl Engine {
 
     /// Runs `make(start, end)` over the chunk grid and returns the
     /// partials in ascending chunk order. Serial tier uses a single
-    /// chunk; parallel tiers collect `(chunk, partial)` pairs under a
-    /// mutex and sort, so the merge order is the grid order regardless
+    /// chunk; the parallel tier collects `(chunk, partial)` pairs under a
+    /// mutex and sorts them, so the merge order is the grid order regardless
     /// of scheduler interleaving.
     fn run_partials<P, F>(&self, n_rows: usize, make: F) -> Vec<P>
     where
@@ -1074,8 +1059,9 @@ impl Engine {
 
     /// Sum and count of the Likert scores over the (optionally
     /// `sel`-restricted) rows. The serial tier folds in row order, so
-    /// `sum / count` equals the row engine's mean bitwise; the SIMD tier
-    /// reduces in lane order (exact for the survey's dyadic values).
+    /// `sum / count` equals the row engine's mean bitwise; the parallel
+    /// tier merges chunk partials in chunk order (exact for the survey's
+    /// dyadic values).
     ///
     /// # Errors
     /// [`Error::UnknownQuestion`] or a kind mismatch.
@@ -1089,19 +1075,14 @@ impl Engine {
         let ColumnData::Likert(values) = &c.data else {
             unreachable!("require_kind checked the column kind");
         };
-        let simd = self.tier == Tier::ParallelSimd;
         let partials = self.run_partials(cohort.n_rows(), |s, e| {
-            if simd {
-                sum_count_simd(s, e, &c.valid, sel, |r| f64::from(values[r]))
-            } else {
-                let mut sum = 0.0;
-                let mut count = 0u64;
-                each_selected_row(&c.valid, sel, s, e, |r| {
-                    sum += f64::from(values[r]);
-                    count += 1;
-                });
-                (sum, count)
-            }
+            let mut sum = 0.0;
+            let mut count = 0u64;
+            each_selected_row(&c.valid, sel, s, e, |r| {
+                sum += f64::from(values[r]);
+                count += 1;
+            });
+            (sum, count)
         });
         Ok(partials
             .into_iter()
@@ -1139,19 +1120,14 @@ impl Engine {
         let ColumnData::Numeric(values) = &c.data else {
             unreachable!("require_kind checked the column kind");
         };
-        let simd = self.tier == Tier::ParallelSimd;
         let partials = self.run_partials(cohort.n_rows(), |s, e| {
-            if simd {
-                sum_count_simd(s, e, &c.valid, sel, |r| values[r])
-            } else {
-                let mut sum = 0.0;
-                let mut count = 0u64;
-                each_selected_row(&c.valid, sel, s, e, |r| {
-                    sum += values[r];
-                    count += 1;
-                });
-                (sum, count)
-            }
+            let mut sum = 0.0;
+            let mut count = 0u64;
+            each_selected_row(&c.valid, sel, s, e, |r| {
+                sum += values[r];
+                count += 1;
+            });
+            (sum, count)
         });
         Ok(partials
             .into_iter()
@@ -1294,53 +1270,6 @@ fn each_joint_row<F: FnMut(usize)>(
             m &= m - 1;
         }
     }
-}
-
-/// SIMD masked sum + count over `[start, end)`: per 64-row word the
-/// selected values are widened into a dense buffer (unselected slots
-/// 0.0) and reduced with [`F64Lanes`] accumulators; counts come from the
-/// mask popcount. The reduction order is fixed by the word sequence, so
-/// the result is deterministic (and exact for dyadic inputs).
-fn sum_count_simd<G: Fn(usize) -> f64>(
-    start: usize,
-    end: usize,
-    valid: &Bitmap,
-    sel: Option<&Bitmap>,
-    value: G,
-) -> (f64, u64) {
-    const W: usize = 8;
-    debug_assert_eq!(start % WORD_BITS, 0, "chunk start must be word-aligned");
-    let vwords = valid.words();
-    let w0 = start / WORD_BITS;
-    let w1 = end.div_ceil(WORD_BITS);
-    let mut acc = [F64Lanes::<W>::ZERO; 2];
-    let mut count = 0u64;
-    let mut buf = [0.0f64; WORD_BITS];
-    for (w, &vword) in vwords.iter().enumerate().take(w1).skip(w0) {
-        let mut m = vword;
-        if let Some(s) = sel {
-            m &= s.words()[w];
-        }
-        if w == w1 - 1 && !end.is_multiple_of(WORD_BITS) {
-            m &= (1u64 << (end % WORD_BITS)) - 1;
-        }
-        if m == 0 {
-            continue;
-        }
-        count += u64::from(m.count_ones());
-        let base = w * WORD_BITS;
-        for (b, slot) in buf.iter_mut().enumerate() {
-            *slot = if (m >> b) & 1 == 1 {
-                value(base + b)
-            } else {
-                0.0
-            };
-        }
-        for (j, chunk) in buf.chunks_exact(W).enumerate() {
-            acc[j % 2] = acc[j % 2].add(F64Lanes::load(chunk));
-        }
-    }
-    (acc[0].add(acc[1]).sum(), count)
 }
 
 #[cfg(test)]
@@ -1538,7 +1467,6 @@ mod tests {
             Engine::serial(),
             Engine::parallel(4),
             Engine::parallel(4).with_scheduler(Scheduler::SpawnStatic),
-            Engine::parallel_simd(4),
         ];
         // Tiny chunks force multi-chunk merging even at 70 rows.
         for mut e in engines {

@@ -157,7 +157,7 @@ proptest! {
         let (row_lk_sum, row_lk_n) = row_likert_sum(&cohort);
         let (row_num_sum, row_num_n) = row_numeric_sum(&cohort);
 
-        for engine in [Engine::serial(), Engine::parallel(3), Engine::parallel_simd(3)] {
+        for engine in [Engine::serial(), Engine::parallel(3)] {
             let sc = engine.single_choice_counts(&cc, "sc", None).unwrap();
             prop_assert_eq!(&sc, &row_sc, "tier {}", engine.tier.name());
             let mc = engine.multi_choice_counts(&cc, "mc", None).unwrap();
@@ -173,7 +173,7 @@ proptest! {
                 "tier {}: {lk_sum} vs {row_lk_sum}", engine.tier.name());
 
             // Arbitrary f64 sums are only reassociation-exact on the
-            // serial tier; parallel tiers get a relative tolerance.
+            // serial tier; the parallel tier gets a relative tolerance.
             let (num_sum, num_n) = engine.numeric_sum_count(&cc, "num", None).unwrap();
             prop_assert_eq!(num_n, row_num_n);
             if engine.tier.name() == "columnar" {

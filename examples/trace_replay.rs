@@ -1,14 +1,13 @@
 //! Trace replay at scale (the E23 machinery as a library user would run
 //! it): export a synthetic workload to the Standard Workload Format,
 //! stream it back without materializing, and replay it through the
-//! windowed-parallel simulator — checking that queue backend and thread
-//! count never change a single bit of the outcome.
+//! windowed-parallel simulator — checking that the thread count never
+//! changes a single bit of the outcome.
 //!
 //! ```text
 //! cargo run --release --example trace_replay
 //! ```
 
-use rcr_cluster::event::QueueKind;
 use rcr_cluster::faults::{FaultSpec, RecoveryPolicy};
 use rcr_cluster::sched::Policy;
 use rcr_cluster::swf::{stream_jobs, to_swf};
@@ -47,29 +46,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         seed: MASTER_SEED,
     };
-    let sim = |queue: QueueKind, threads: usize| {
+    let sim = |threads: usize| {
         WindowedSim::new(WindowedSpec {
             nodes_per_shard: 32,
             shards: 2,
             policy: Policy::EasyBackfill,
             faults,
-            queue,
             window: 20_000.0,
             threads,
         })
     };
 
     // Replay the SWF text as a stream — no materialized job vector —
-    // under every (queue, threads) combination.
-    let arms = [
-        ("heap, 1 thread", QueueKind::Heap, 1),
-        ("calendar, 1 thread", QueueKind::Calendar, 1),
-        ("calendar, 4 threads", QueueKind::Calendar, 4),
-    ];
+    // on one and on four threads.
+    let arms = [("1 thread", 1), ("4 threads", 4)];
     let mut reference = None;
-    for (label, queue, threads) in arms {
+    for (label, threads) in arms {
         let t0 = std::time::Instant::now();
-        let outcome = sim(queue, threads)?.run_stream(stream_jobs(&text))?;
+        let outcome = sim(threads)?.run_stream(stream_jobs(&text))?;
         let digest = outcome.digest();
         println!(
             "{label:>20}: {} completed, {} events over {} windows in {}, \
@@ -80,17 +74,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fmt::duration_s(t0.elapsed().as_secs_f64()),
             fmt::rate_per_s(outcome.events() as f64 / t0.elapsed().as_secs_f64()),
         );
-        // Queue backend and thread count are performance knobs, never
-        // semantics: every arm must produce bit-identical outcomes.
+        // The thread count is a performance knob, never semantics: every
+        // arm must produce bit-identical outcomes.
         match reference {
             None => reference = Some(digest),
             Some(r) => assert_eq!(r, digest, "{label} diverged"),
         }
     }
 
-    let r = sim(QueueKind::Calendar, 4)?
-        .run_stream(stream_jobs(&text))?
-        .resilience();
+    let r = sim(4)?.run_stream(stream_jobs(&text))?.resilience();
     println!(
         "\nfederation resilience: {} done / {} lost, {:.1} node-hours goodput, {} wasted",
         r.completed,

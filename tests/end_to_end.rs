@@ -133,8 +133,8 @@ fn sim_study_arms_agree_end_to_end() {
     // E23's verification gate (every arm's digest checked against the
     // serial-heap reference, streamed vs materialized replays compared)
     // runs inside the driver; a quick sweep exercising it end-to-end is
-    // the regression test that the calendar queue and the windowed runner
-    // never drift from the heap baseline.
+    // the regression test that the windowed runner never drifts from the
+    // serial baseline.
     let points = ex()
         .e23_simstudy(&rcr_core::perfgap::GapConfig::quick())
         .expect("E23 quick");
@@ -142,52 +142,6 @@ fn sim_study_arms_agree_end_to_end() {
     assert_eq!(points.len() % rcr_core::simstudy::ARMS.len(), 0);
     assert!(rcr_bench::render::e23_figure(&points).contains("</svg>"));
     assert_eq!(rcr_bench::render::e23_table(&points).n_rows(), points.len());
-}
-
-#[test]
-fn resilience_study_is_invariant_to_queue_backend() {
-    // E14 reruns on the new event core: a fault-injection cell shaped like
-    // the study's hardest configuration (2-hour MTBF, checkpoint recovery,
-    // EASY backfill) must produce bitwise-identical outcomes — and hence
-    // identical resilience metrics — on the serial-heap and serial-calendar
-    // arms.
-    use rcr_cluster::event::QueueKind;
-    use rcr_cluster::faults::{FaultSpec, RecoveryPolicy};
-    use rcr_cluster::sched::Policy;
-    use rcr_cluster::sim::Simulator;
-    use rcr_cluster::workload::{generate_checked, WorkloadSpec};
-
-    let spec = WorkloadSpec {
-        n_jobs: 400,
-        runtime_log_mean: 5.5,
-        runtime_log_sd: 0.8,
-        ..Default::default()
-    };
-    let jobs = generate_checked(&spec, MASTER_SEED ^ 0xFA17).expect("workload");
-    let faults = FaultSpec {
-        node_mtbf: 2.0 * 3600.0,
-        repair_time: 1800.0,
-        job_failure_prob: 0.02,
-        recovery: RecoveryPolicy::Checkpoint {
-            interval: 120.0,
-            overhead: 10.0,
-            max_retries: 3,
-        },
-        seed: MASTER_SEED ^ 0xE14,
-    };
-    let run = |kind: QueueKind| {
-        Simulator::new(spec.cluster_nodes, Policy::EasyBackfill)
-            .with_queue(kind)
-            .with_faults(faults)
-            .expect("fault spec validates")
-            .run(jobs.clone())
-            .expect("faulty run")
-    };
-    let heap = run(QueueKind::Heap);
-    let calendar = run(QueueKind::Calendar);
-    assert_eq!(heap, calendar, "E14 outcomes diverge across queue kinds");
-    assert_eq!(heap.resilience(), calendar.resilience());
-    assert!(heap.node_failures > 0, "cell injected no faults");
 }
 
 #[test]

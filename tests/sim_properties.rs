@@ -2,7 +2,6 @@
 //! hold for every policy on arbitrary (small) job traces.
 
 use proptest::prelude::*;
-use rcr_cluster::event::QueueKind;
 use rcr_cluster::faults::{FaultSpec, RecoveryPolicy};
 use rcr_cluster::job::Job;
 use rcr_cluster::sched::Policy;
@@ -204,43 +203,33 @@ proptest! {
     }
 
     #[test]
-    fn windowed_replay_is_invariant_to_queue_backend_and_threads(
+    fn windowed_replay_is_invariant_to_threads(
         trace in trace_strategy(),
         faults in fault_strategy(),
         window in 50.0f64..500.0,
     ) {
         // The windowed runner's contract: for a fixed window schedule,
-        // the queue backend and the thread count are performance knobs
-        // only — every combination produces bit-identical outcomes, and
-        // every submitted job is resolved exactly once.
-        let spec = |queue, threads| WindowedSpec {
+        // the thread count is a performance knob only — one and four
+        // threads produce bit-identical outcomes, and every submitted job
+        // is resolved exactly once.
+        let spec = |threads| WindowedSpec {
             nodes_per_shard: NODES,
             shards: 2,
             policy: Policy::EasyBackfill,
             faults,
-            queue,
             window,
             threads,
         };
-        let reference = WindowedSim::new(spec(QueueKind::Heap, 1)).expect("valid spec")
+        let reference = WindowedSim::new(spec(1)).expect("valid spec")
             .run(trace.clone()).expect("runs");
         prop_assert_eq!(
             reference.completed() + reference.abandoned(),
             trace.len(),
             "jobs lost under {}", faults.recovery.name()
         );
-        for (queue, threads) in [
-            (QueueKind::Calendar, 1),
-            (QueueKind::Heap, 4),
-            (QueueKind::Calendar, 4),
-        ] {
-            let out = WindowedSim::new(spec(queue, threads)).expect("valid spec")
-                .run(trace.clone()).expect("runs");
-            prop_assert_eq!(
-                reference.digest(), out.digest(),
-                "{:?} queue with {} threads diverged", queue, threads
-            );
-        }
+        let out = WindowedSim::new(spec(4)).expect("valid spec")
+            .run(trace.clone()).expect("runs");
+        prop_assert_eq!(reference.digest(), out.digest(), "4 threads diverged");
     }
 
     #[test]
