@@ -31,13 +31,15 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use rcr_bench::{diff, render, summary};
-use rcr_core::experiments::{Experiments, INDEX};
+use rcr_core::experiments::{ExperimentInfo, Experiments, INDEX};
 use rcr_core::perfgap::GapConfig;
 use rcr_core::MASTER_SEED;
 use rcr_report::table::Table;
 
 struct Args {
-    which: Vec<String>,
+    /// Every requested experiment, validated against [`INDEX`] before any
+    /// of them runs.
+    which: Vec<ExperimentInfo>,
     quick: bool,
     out: Option<PathBuf>,
 }
@@ -64,13 +66,18 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             e if e.starts_with('e') || e.starts_with('E') => {
-                which.push(e.to_lowercase());
+                let id = e.to_lowercase();
+                let info = INDEX
+                    .into_iter()
+                    .find(|i| i.id.to_lowercase() == id)
+                    .ok_or_else(|| format!("unknown experiment `{id}` (expected e1..e23)"))?;
+                which.push(info);
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     if which.is_empty() {
-        which = INDEX.iter().map(|i| i.id.to_lowercase()).collect();
+        which = INDEX.to_vec();
     }
     Ok(Args { which, quick, out })
 }
@@ -205,17 +212,10 @@ fn main() {
         GapConfig::default()
     };
 
-    for id in &args.which {
-        let info = INDEX.iter().find(|i| i.id.to_lowercase() == *id);
-        match info {
-            Some(i) => println!("== {} ({}): {} ==\n", i.id, i.artifact, i.title),
-            None => {
-                eprintln!("unknown experiment `{id}` (expected e1..e23)");
-                std::process::exit(2);
-            }
-        }
-        let result = run_one(id, &ex, &gap_config, &emit);
-        if let Err(e) = result {
+    for info in &args.which {
+        println!("== {} ({}): {} ==\n", info.id, info.artifact, info.title);
+        let id = info.id.to_lowercase();
+        if let Err(e) = run_one(&id, &ex, &gap_config, &emit) {
             eprintln!("experiment {id} failed: {e}");
             std::process::exit(1);
         }

@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn real_emitted_summary_round_trips() {
         // The comparator must parse what `summary::BenchSummary` emits.
-        let mut s = crate::summary::BenchSummary::new("E22", "Table 11", "t", true);
+        let mut s = crate::summary::BenchSummary::new("E22", true);
         s.push("jit_speedup_vs_fused/dot", 2.25, "x");
         let json = serde_json::to_string_pretty(&s.finish()).unwrap();
         let r = diff_summaries(&json, &json, &DiffOptions::default()).unwrap();

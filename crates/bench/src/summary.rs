@@ -10,6 +10,7 @@
 use serde::Serialize;
 
 use rcr_core::colstudy::ColPoint;
+use rcr_core::experiments::INDEX;
 use rcr_core::jitstudy::JitGapRow;
 use rcr_core::memstudy::MemPoint;
 use rcr_core::perfgap::GapClosure;
@@ -80,12 +81,20 @@ pub struct BenchSummary {
 }
 
 impl BenchSummary {
-    /// Starts an empty summary for one experiment.
-    pub fn new(experiment: &str, artifact: &str, title: &str, quick: bool) -> Self {
+    /// Starts an empty summary for experiment `id`, taking its artifact
+    /// and title from [`INDEX`].
+    ///
+    /// # Panics
+    /// When `id` is not an [`INDEX`] entry.
+    pub fn new(id: &str, quick: bool) -> Self {
+        let info = INDEX
+            .iter()
+            .find(|i| i.id == id)
+            .unwrap_or_else(|| panic!("experiment `{id}` is not in INDEX"));
         BenchSummary {
-            experiment: experiment.to_owned(),
-            artifact: artifact.to_owned(),
-            title: title.to_owned(),
+            experiment: info.id.to_owned(),
+            artifact: info.artifact.to_owned(),
+            title: info.title.to_owned(),
             quick,
             host: HostInfo::capture(),
             metrics: Vec::new(),
@@ -119,7 +128,7 @@ impl BenchSummary {
 /// E16 metrics: per (kernel, size), the fused-VM speedup and the fraction
 /// of the VM→native gap it closes.
 pub fn summarize_e16(quick: bool, rows: &[GapClosure]) -> BenchSummary {
-    let mut s = BenchSummary::new("E16", "Table 9", "Superinstruction VM gap closure", quick);
+    let mut s = BenchSummary::new("E16", quick);
     for r in rows {
         s.push(format!("speedup/{}/{}", r.kernel, r.size), r.speedup, "x");
         s.push(
@@ -133,12 +142,7 @@ pub fn summarize_e16(quick: bool, rows: &[GapClosure]) -> BenchSummary {
 
 /// E17 metrics: per (workload, scheduler), the per-call cost.
 pub fn summarize_e17(quick: bool, rows: &[SchedPoint]) -> BenchSummary {
-    let mut s = BenchSummary::new(
-        "E17",
-        "Figure 8",
-        "Scheduler ablation: spawn-per-call vs persistent work-stealing",
-        quick,
-    );
+    let mut s = BenchSummary::new("E17", quick);
     for r in rows {
         s.push(
             format!("per_call_us/{}/{}", r.workload, r.scheduler),
@@ -152,12 +156,7 @@ pub fn summarize_e17(quick: bool, rows: &[SchedPoint]) -> BenchSummary {
 /// E18 metrics: per (kernel, tier), the DRAM-level effective bandwidth —
 /// the converged ceiling the figure is about.
 pub fn summarize_e18(quick: bool, rows: &[MemPoint]) -> BenchSummary {
-    let mut s = BenchSummary::new(
-        "E18",
-        "Figure 9",
-        "Memory-hierarchy sweep: kernel tiers from L1 to DRAM",
-        quick,
-    );
+    let mut s = BenchSummary::new("E18", quick);
     for r in rows.iter().filter(|r| r.level == "DRAM") {
         s.push(format!("dram_gbps/{}/{}", r.kernel, r.tier), r.gbps, "GB/s");
     }
@@ -167,12 +166,7 @@ pub fn summarize_e18(quick: bool, rows: &[MemPoint]) -> BenchSummary {
 /// E19 metrics: per (fault level, offered multiplier), sustained
 /// throughput and completed-job p99.
 pub fn summarize_e19(quick: bool, rows: &[ServePoint]) -> BenchSummary {
-    let mut s = BenchSummary::new(
-        "E19",
-        "Figure 10",
-        "Serving under overload: shedding, deadlines, and fault recovery",
-        quick,
-    );
+    let mut s = BenchSummary::new("E19", quick);
     for r in rows {
         s.push(
             format!("sustained_jps/{}/{}x", r.fault_level, r.offered_multiplier),
@@ -190,12 +184,7 @@ pub fn summarize_e19(quick: bool, rows: &[ServePoint]) -> BenchSummary {
 
 /// E20 metrics: the false-positive rate and per-class detection rates.
 pub fn summarize_e20(quick: bool, study: &rcr_core::absintstudy::AbsintStudy) -> BenchSummary {
-    let mut s = BenchSummary::new(
-        "E20",
-        "Table 10",
-        "Abstract interpretation: proofs, defect detection, static admission",
-        quick,
-    );
+    let mut s = BenchSummary::new("E20", quick);
     s.push("false_positive_rate", study.false_positive_rate, "frac");
     for c in &study.classes {
         s.push(format!("detection/{}", c.class), c.detection_rate, "frac");
@@ -207,12 +196,7 @@ pub fn summarize_e20(quick: bool, study: &rcr_core::absintstudy::AbsintStudy) ->
 /// plus the per-size speedup of the best columnar tier over the row
 /// engine.
 pub fn summarize_e21(quick: bool, rows: &[ColPoint]) -> BenchSummary {
-    let mut s = BenchSummary::new(
-        "E21",
-        "Figure 11",
-        "Columnar analytics: rows/sec vs population size and tier",
-        quick,
-    );
+    let mut s = BenchSummary::new("E21", quick);
     for r in rows {
         s.push(
             format!("rows_per_s/{}/{}", r.rows, r.tier),
@@ -243,12 +227,7 @@ pub fn summarize_e21(quick: bool, rows: &[ColPoint]) -> BenchSummary {
 /// summary stays structurally comparable (`bench-diff --structural`) to a
 /// committed full-size one — the `quick` flag records which sizes ran.
 pub fn summarize_e22(quick: bool, rows: &[JitGapRow]) -> BenchSummary {
-    let mut s = BenchSummary::new(
-        "E22",
-        "Table 11",
-        "Register-IR JIT: closing the remaining fused-VM-to-native gap",
-        quick,
-    );
+    let mut s = BenchSummary::new("E22", quick);
     for r in rows {
         s.push(
             format!("jit_speedup_vs_fused/{}", r.kernel),
@@ -277,12 +256,7 @@ pub fn summarize_e22(quick: bool, rows: &[JitGapRow]) -> BenchSummary {
 /// stays structurally comparable (`bench-diff --structural`) to a
 /// committed full-size one — the `quick` flag records which sizes ran.
 pub fn summarize_e23(quick: bool, rows: &[SimPoint]) -> BenchSummary {
-    let mut s = BenchSummary::new(
-        "E23",
-        "Figure 12",
-        "Cluster DES at scale: serial and windowed-parallel replay",
-        quick,
-    );
+    let mut s = BenchSummary::new("E23", quick);
     let mut sizes: Vec<usize> = rows.iter().map(|r| r.nodes).collect();
     sizes.dedup();
     for r in rows {
@@ -312,18 +286,59 @@ mod tests {
 
     #[test]
     fn checksum_tracks_metrics() {
-        let mut a = BenchSummary::new("E21", "Figure 11", "t", true);
+        let mut a = BenchSummary::new("E21", true);
         a.push("m", 1.5, "x");
         let a = a.finish();
-        let mut b = BenchSummary::new("E21", "Figure 11", "t", true);
+        let mut b = BenchSummary::new("E21", true);
         b.push("m", 1.5, "x");
         let b = b.finish();
         assert_eq!(a.checksum, b.checksum);
-        let mut c = BenchSummary::new("E21", "Figure 11", "t", true);
+        let mut c = BenchSummary::new("E21", true);
         c.push("m", 2.5, "x");
         let c = c.finish();
         assert_ne!(a.checksum, c.checksum);
         assert_eq!(a.checksum.len(), 16);
+    }
+
+    #[test]
+    fn summary_headers_match_the_experiment_index() {
+        use rcr_core::absintstudy::{AbsintStudy, FactDensity};
+        let absint = AbsintStudy {
+            n_clean: 0,
+            clean_with_findings: 0,
+            false_positive_rate: 0.0,
+            classes: Vec::new(),
+            density: FactDensity {
+                n_scripts: 0,
+                n_functions: 0,
+                finite_cost_functions: 0,
+                finite_cost_fraction: 0.0,
+                float_array_proofs: 0,
+                main_vars: 0,
+                typed_main_vars: 0,
+                typed_main_var_fraction: 0.0,
+                finite_program_cost: 0,
+            },
+            admission: Vec::new(),
+        };
+        let summaries = [
+            summarize_e16(true, &[]),
+            summarize_e17(true, &[]),
+            summarize_e18(true, &[]),
+            summarize_e19(true, &[]),
+            summarize_e20(true, &absint),
+            summarize_e21(true, &[]),
+            summarize_e22(true, &[]),
+            summarize_e23(true, &[]),
+        ];
+        for (s, n) in summaries.iter().zip(16..) {
+            let info = &INDEX[n - 1];
+            assert_eq!(info.id, format!("E{n}"));
+            assert_eq!(
+                (s.experiment.as_str(), s.artifact.as_str(), s.title.as_str()),
+                (info.id, info.artifact, info.title)
+            );
+        }
     }
 
     #[test]

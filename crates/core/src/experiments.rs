@@ -1,6 +1,6 @@
 //! The experiment registry: one driver per table/figure (E1–E23), all
 //! deterministic from one master seed. `DESIGN.md` §4 is the index; the
-//! `reproduce` binary and the Criterion benches both call these drivers.
+//! `reproduce` binary calls these drivers.
 //!
 //! The survey tabulation experiments (E1–E4, E7, E8) each have a
 //! `*_columnar` companion built on [`rcr_survey::columnar`]; the

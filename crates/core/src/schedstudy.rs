@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn results_identical_across_thread_counts() {
-        // The acceptance criterion: deterministic kernels give the same
+        // The contract under test: deterministic kernels give the same
         // checksums no matter how many threads the schedulers use.
         let mut reference: Option<Vec<u64>> = None;
         for threads in [1usize, 2, 4] {

@@ -116,7 +116,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 
 /// The E23 fault model: mild but live — every arm must reproduce the
 /// same failures, kills, and retries, not just the same completions.
-/// Public so the Criterion bench drives the same scenario.
+/// Public so the repository benchmark replays the same scenario.
 pub fn fault_model(seed: u64) -> FaultSpec {
     FaultSpec {
         node_mtbf: 2.0e6,

@@ -2,11 +2,11 @@
 //! columnar survey engine compiles its filter DSL onto.
 //!
 //! A [`Bitmap`] stores one bit per row, packed little-endian within each
-//! `u64` word (row `i` lives at bit `i % 64` of word `i / 64`). All
-//! combinators operate word-at-a-time, so an AND/OR/NOT over a 10-million
+//! `u64` word (row `i` lives at bit `i % 64` of word `i / 64`). Callers
+//! combine selections word-at-a-time, so an AND/OR/NOT over a 10-million
 //! row selection touches ~156 K words, not 10 M branches; counting is a
 //! `popcount` loop the compiler vectorizes. Bits past `len` are kept zero
-//! by every operation (including [`Bitmap::not_assign`]), which is what
+//! by every operation (including [`Bitmap::from_words`]), which is what
 //! makes `count_ones` and word-wise iteration correct without per-call
 //! masking.
 
@@ -26,63 +26,19 @@ pub fn words_for(len: usize) -> usize {
     len.div_ceil(WORD_BITS)
 }
 
-/// Mask selecting the in-range bits of the final word of a `len`-bit
-/// bitmap (all-ones when `len` is a multiple of 64 or zero).
-#[inline]
-pub fn tail_mask(len: usize) -> u64 {
-    let r = len % WORD_BITS;
-    if r == 0 {
-        u64::MAX
-    } else {
-        (1u64 << r) - 1
-    }
-}
-
 impl Bitmap {
-    /// Creates an all-zero bitmap of `len` bits.
-    pub fn new(len: usize) -> Self {
-        Bitmap {
-            words: vec![0u64; words_for(len)],
-            len,
-        }
-    }
-
-    /// Creates an all-ones bitmap of `len` bits (tail bits stay zero).
-    pub fn all_set(len: usize) -> Self {
-        let mut b = Bitmap {
-            words: vec![u64::MAX; words_for(len)],
-            len,
-        };
-        if let Some(last) = b.words.last_mut() {
-            *last &= tail_mask(len);
-        }
-        b
-    }
-
     /// Wraps pre-packed words as a `len`-bit bitmap. The vector is resized
     /// to exactly [`words_for`]`(len)` words and tail bits are cleared, so
     /// callers may hand over a buffer they filled word-at-a-time.
     pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
         words.resize(words_for(len), 0);
-        let mut b = Bitmap { words, len };
-        b.mask_tail();
-        b
-    }
-
-    /// Builds a bitmap by evaluating `f` at every index, packing 64 rows
-    /// per word.
-    pub fn from_fn<F: FnMut(usize) -> bool>(len: usize, mut f: F) -> Self {
-        let mut b = Bitmap::new(len);
-        for (w, word) in b.words.iter_mut().enumerate() {
-            let base = w * WORD_BITS;
-            let top = (base + WORD_BITS).min(len);
-            let mut bits = 0u64;
-            for i in base..top {
-                bits |= u64::from(f(i)) << (i - base);
+        let r = len % WORD_BITS;
+        if r != 0 {
+            if let Some(last) = words.last_mut() {
+                *last &= (1u64 << r) - 1;
             }
-            *word = bits;
         }
-        b
+        Bitmap { words, len }
     }
 
     /// Number of bits (rows) the bitmap covers.
@@ -105,35 +61,9 @@ impl Bitmap {
         (self.words[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1
     }
 
-    /// Sets the bit at `i`.
-    ///
-    /// # Panics
-    /// When `i >= len`.
-    #[inline]
-    pub fn set(&mut self, i: usize) {
-        assert!(i < self.len, "bit {i} out of range (len {})", self.len);
-        self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-    }
-
     /// The backing words (tail bits beyond `len` are always zero).
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Mutable access to the backing words. Callers must keep bits past
-    /// `len` zero; [`Bitmap::mask_tail`] restores the invariant after bulk
-    /// writes.
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Clears any bits past `len` in the final word (the invariant every
-    /// other operation preserves; call after writing raw words).
-    pub fn mask_tail(&mut self) {
-        let len = self.len;
-        if let Some(last) = self.words.last_mut() {
-            *last &= tail_mask(len);
-        }
     }
 
     /// In-place intersection.
@@ -145,37 +75,6 @@ impl Bitmap {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
         }
-    }
-
-    /// In-place union.
-    ///
-    /// # Panics
-    /// On length mismatch.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place difference (`self & !other`).
-    ///
-    /// # Panics
-    /// On length mismatch.
-    pub fn and_not_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// In-place complement over the `len` valid bits (tail bits stay
-    /// zero).
-    pub fn not_assign(&mut self) {
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        self.mask_tail();
     }
 
     /// Number of set bits (word-wise popcount).
@@ -231,15 +130,22 @@ impl Bitmap {
 mod tests {
     use super::*;
 
+    /// Packs `f` evaluated at every index, 64 rows per word.
+    fn from_fn(len: usize, f: impl Fn(usize) -> bool) -> Bitmap {
+        let mut words = vec![0u64; words_for(len)];
+        for i in (0..len).filter(|&i| f(i)) {
+            words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
+        }
+        Bitmap::from_words(words, len)
+    }
+
     #[test]
     fn construction_and_bit_access() {
-        let mut b = Bitmap::new(130);
-        assert_eq!(b.len(), 130);
-        assert_eq!(b.words().len(), 3);
-        assert_eq!(b.count_ones(), 0);
-        b.set(0);
-        b.set(64);
-        b.set(129);
+        let zero = Bitmap::from_words(Vec::new(), 130);
+        assert_eq!(zero.len(), 130);
+        assert_eq!(zero.words().len(), 3);
+        assert_eq!(zero.count_ones(), 0);
+        let b = from_fn(130, |i| matches!(i, 0 | 64 | 129));
         assert!(b.get(0) && b.get(64) && b.get(129));
         assert!(!b.get(1) && !b.get(128));
         assert_eq!(b.count_ones(), 3);
@@ -247,18 +153,18 @@ mod tests {
     }
 
     #[test]
-    fn all_set_masks_tail() {
-        let b = Bitmap::all_set(70);
+    fn from_words_masks_tail() {
+        let b = Bitmap::from_words(vec![u64::MAX; 2], 70);
         assert_eq!(b.count_ones(), 70);
         assert_eq!(b.words()[1], (1u64 << 6) - 1);
-        let empty = Bitmap::all_set(0);
+        let empty = Bitmap::from_words(vec![u64::MAX], 0);
         assert!(empty.is_empty());
-        assert_eq!(empty.count_ones(), 0);
+        assert!(empty.words().is_empty());
     }
 
     #[test]
     fn from_fn_matches_per_bit_sets() {
-        let b = Bitmap::from_fn(200, |i| i % 3 == 0);
+        let b = from_fn(200, |i| i % 3 == 0);
         for i in 0..200 {
             assert_eq!(b.get(i), i % 3 == 0, "bit {i}");
         }
@@ -268,29 +174,19 @@ mod tests {
     #[test]
     fn boolean_algebra() {
         let n = 150;
-        let a = Bitmap::from_fn(n, |i| i % 2 == 0);
-        let b = Bitmap::from_fn(n, |i| i % 3 == 0);
+        let a = from_fn(n, |i| i % 2 == 0);
+        let b = from_fn(n, |i| i % 3 == 0);
         let mut and = a.clone();
         and.and_assign(&b);
-        let mut or = a.clone();
-        or.or_assign(&b);
-        let mut diff = a.clone();
-        diff.and_not_assign(&b);
-        let mut not = a.clone();
-        not.not_assign();
         for i in 0..n {
             assert_eq!(and.get(i), i % 6 == 0);
-            assert_eq!(or.get(i), i % 2 == 0 || i % 3 == 0);
-            assert_eq!(diff.get(i), i % 2 == 0 && i % 3 != 0);
-            assert_eq!(not.get(i), i % 2 != 0);
         }
-        // Complement never leaks past len: counts stay within range.
-        assert_eq!(not.count_ones() + a.count_ones(), n as u64);
+        assert_eq!(and.count_ones(), 25);
     }
 
     #[test]
     fn range_popcount_agrees_with_scan() {
-        let b = Bitmap::from_fn(300, |i| (i * 7) % 5 < 2);
+        let b = from_fn(300, |i| (i * 7) % 5 < 2);
         for (s, e) in [(0, 0), (0, 300), (3, 64), (64, 128), (10, 250), (63, 65)] {
             let expect = (s..e).filter(|&i| b.get(i)).count() as u64;
             assert_eq!(b.count_ones_range(s, e), expect, "{s}..{e}");
@@ -300,6 +196,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
-        Bitmap::new(10).get(10);
+        Bitmap::from_words(Vec::new(), 10).get(10);
     }
 }

@@ -1,6 +1,5 @@
-//! Timing harness used by the `reproduce` binary (Criterion drives the
-//! `cargo bench` targets; this lighter harness powers the experiment
-//! drivers, which need medians and speedup ratios, not full distributions).
+//! Timing harness for the timing experiments behind the `reproduce`
+//! binary, which need medians, not full distributions.
 
 use std::time::{Duration, Instant};
 
@@ -19,16 +18,8 @@ pub struct Measurement {
     pub max: Duration,
 }
 
-impl Measurement {
-    /// Speedup of `self` relative to `other` by medians
-    /// (`other.median / self.median`): > 1 means `self` is faster.
-    pub fn speedup_over(&self, other: &Measurement) -> f64 {
-        other.median.as_secs_f64() / self.median.as_secs_f64().max(1e-12)
-    }
-}
-
 /// Times one call of `f`, returning its result and the elapsed wall time.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
     let v = f();
     (v, t0.elapsed())
@@ -113,23 +104,6 @@ mod tests {
         assert!(m.median <= m.max);
         assert!(m.mean >= m.min && m.mean <= m.max);
         assert!(sink.value().is_finite());
-    }
-
-    #[test]
-    fn speedup_ratio_direction() {
-        let fast = Measurement {
-            runs: 1,
-            min: Duration::from_millis(10),
-            median: Duration::from_millis(10),
-            mean: Duration::from_millis(10),
-            max: Duration::from_millis(10),
-        };
-        let slow = Measurement {
-            median: Duration::from_millis(40),
-            ..fast
-        };
-        assert!((fast.speedup_over(&slow) - 4.0).abs() < 1e-9);
-        assert!((slow.speedup_over(&fast) - 0.25).abs() < 1e-9);
     }
 
     #[test]

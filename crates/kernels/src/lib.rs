@@ -1,11 +1,12 @@
 //! # rcr-kernels
 //!
-//! The HPC micro-kernel suite behind the performance-gap experiments
-//! (E5, E6, E17, E18) — every kernel in **naive**, **optimized**,
+//! The HPC micro-kernel suite behind the performance studies (E5, E6,
+//! E11, E16–E18, E22) — every kernel in **naive**, **optimized**,
 //! **vectorized**, and **parallel** variants, plus the persistent
 //! work-stealing runtime they share ([`pool`]), its scheduler facade
-//! ([`par`]), and the portable lane abstraction behind the vectorized
-//! tier ([`simd`]).
+//! ([`par`]), the portable lane abstraction behind the vectorized tier
+//! ([`simd`]), and the selection bitmaps of the columnar survey engine
+//! ([`bitmap`]).
 //!
 //! The variants model the performance ladder a researcher climbs: the
 //! straightforward translation of the math (naive), the
@@ -13,7 +14,7 @@
 //! SIMD-shaped rewrite (vectorized — multi-accumulator lane bundles,
 //! register blocking, time tiling), and the multicore port (parallel,
 //! which composes with the vectorized bodies into a `parallel+simd` top
-//! tier). Benchmarks report the ratios between rungs; the *shape* of
+//! tier). The studies report the ratios between rungs; the *shape* of
 //! those ratios (who wins, roughly by how much, where memory-bound
 //! kernels stop scaling) is the reproduction target.
 //!
@@ -35,17 +36,13 @@
 
 pub mod bitmap;
 pub mod dotaxpy;
-pub mod fft;
 pub mod harness;
-pub mod histogram;
 pub mod matmul;
 pub mod montecarlo;
-pub mod nbody;
 pub mod par;
 pub mod pool;
 pub mod reduce;
 pub mod simd;
-pub mod sort;
 pub mod spmv;
 pub mod stencil;
 pub mod verify;
@@ -73,7 +70,7 @@ impl XorShift64 {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x >> 12;
         x ^= x << 25;

@@ -121,11 +121,11 @@ pub fn packed(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
     packed_with_tile(a, b, n, simd::default_tile())
 }
 
-/// [`packed`] with an explicit k-tile, for the E18 tile-size ablation.
+/// [`packed`] with an explicit k-tile, so the tests can sweep tile sizes.
 ///
 /// # Panics
 /// Panics when slice lengths are not `n * n`.
-pub fn packed_with_tile(a: &[f64], b: &[f64], n: usize, tile: usize) -> Vec<f64> {
+fn packed_with_tile(a: &[f64], b: &[f64], n: usize, tile: usize) -> Vec<f64> {
     check_dims(a, b, n);
     let mut c = vec![0.0; n * n];
     packed_rows(a, b, &mut c, n, 0, n, tile);

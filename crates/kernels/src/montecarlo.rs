@@ -84,6 +84,8 @@ mod tests {
         assert_eq!(pi_serial(10_000, 7), pi_serial(10_000, 7));
         assert_eq!(pi_parallel(10_000, 7, 4), pi_parallel(10_000, 7, 4));
         assert_ne!(pi_serial(10_000, 7), pi_serial(10_000, 8));
+        // One worker draws the serial stream, so it is the serial estimate.
+        assert_eq!(pi_parallel(10_000, 7, 1), pi_serial(10_000, 7));
     }
 
     #[test]

@@ -2,27 +2,23 @@
 //! parallel kernel variant, now backed by the persistent work-stealing
 //! pool in [`crate::pool`].
 //!
-//! Three schedulers are provided and compared in E17 / `bench_ablation_kernels`
-//! (see [`Scheduler`]):
+//! Three schedulers are provided and compared in E17 (see [`Scheduler`]):
 //!
-//! * **spawn-static** ([`for_each_chunk_spawn`]) — fresh `std::thread::scope`
+//! * **spawn-static** (`for_each_chunk_spawn`) — fresh `std::thread::scope`
 //!   threads per call, one contiguous chunk per worker. Zero scheduling
 //!   overhead inside a call, but pays thread creation on *every* call and
 //!   is vulnerable to load imbalance.
-//! * **spawn-dynamic** ([`for_each_dynamic_spawn`]) — fresh scoped threads
+//! * **spawn-dynamic** (`for_each_dynamic_spawn`) — fresh scoped threads
 //!   pulling fixed-size chunks from a shared atomic counter. Balances
 //!   irregular work, still pays per-call spawn cost.
 //! * **work-stealing** — the persistent pool: per-call cost is an inject +
 //!   wakeup, and idle workers steal oldest-first from their peers.
 //!
-//! The historical entry points [`for_each_chunk`], [`for_each_dynamic`] and
-//! [`map_reduce`] keep their exact signatures but now run on the pool; the
-//! `threads` argument still controls the *partition* of the index space
-//! (and thereby reduction order), so results remain bit-identical for a
-//! fixed `threads` value — the partition is a pure function of the
-//! arguments, never of steal timing. A crossbeam channel based
-//! [`map_reduce_unordered`] rounds out the toolkit for producers with
-//! uneven item cost.
+//! [`map_reduce`] and the band helpers run on the pool; their `threads`
+//! argument controls the *partition* of the index space (and thereby
+//! reduction order), so results are bit-identical for a fixed `threads`
+//! value — the partition is a pure function of the arguments, never of
+//! steal timing.
 
 use crate::pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,7 +52,7 @@ pub fn default_threads() -> usize {
 /// sizes differ by at most one. All ranges are non-empty when
 /// `parts <= n`; `parts` is clamped to `1..=n` first (empty result for
 /// `n == 0`).
-pub fn balanced_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
+fn balanced_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
     if n == 0 {
         return Vec::new();
     }
@@ -66,83 +62,13 @@ pub fn balanced_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Splits `0..n` into at most `threads` contiguous chunks and runs `body`
-/// on each chunk in parallel on the persistent pool. `body` receives
-/// `(start, end)` half-open bounds.
-///
-/// The partition depends only on `(n, threads)` — every chunk is
-/// non-empty and chunk sizes differ by at most one — so a deterministic
-/// `body` yields identical behaviour regardless of pool size or steal
-/// timing. Falls back to a direct call for `threads <= 1`, so callers can
-/// pass user-supplied thread counts without special-casing.
-///
-/// # Panics
-/// Re-raises panics from worker tasks.
-pub fn for_each_chunk<F>(n: usize, threads: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        body(0, n);
-        return;
-    }
-    let ranges = balanced_ranges(n, threads);
-    pool::sized(threads).run_tasks(ranges.len(), |t| {
-        let (s, e) = ranges[t];
-        body(s, e);
-    });
-}
-
-/// Dynamic self-scheduling parallel-for on the persistent pool: `threads`
-/// tasks repeatedly claim `chunk`-sized slices of `0..n` from a shared
-/// counter until exhausted.
-///
-/// Prefer this over [`for_each_chunk`] when per-index cost varies (e.g.
-/// triangular loops); prefer static chunking when cost is uniform. Chunk
-/// *claim order* is nondeterministic, so bodies must write disjoint state
-/// (as all kernel callers here do) for results to be reproducible.
-///
-/// `chunk == 0` is clamped to 1, matching [`for_each_chunk`]'s tolerance of
-/// degenerate partition parameters (a zero chunk would otherwise spin the
-/// claim loop forever without making progress).
-///
-/// # Panics
-/// Re-raises panics from worker tasks.
-pub fn for_each_dynamic<F>(n: usize, threads: usize, chunk: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let chunk = chunk.max(1);
-    if n == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        body(0, n);
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    pool::sized(threads).run_tasks(threads, |_| loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= n {
-            break;
-        }
-        let end = (start + chunk).min(n);
-        body(start, end);
-    });
-}
-
 /// Spawn-per-call static scheduler: the pre-pool implementation, kept as
 /// the "naive runtime" arm of the E17 scheduler ablation. Spawns fresh
 /// scoped threads on every call, one balanced chunk each.
 ///
 /// # Panics
 /// Re-raises panics from worker threads.
-pub fn for_each_chunk_spawn<F>(n: usize, threads: usize, body: F)
+fn for_each_chunk_spawn<F>(n: usize, threads: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
 {
@@ -169,7 +95,7 @@ where
 ///
 /// # Panics
 /// Re-raises panics from worker threads.
-pub fn for_each_dynamic_spawn<F>(n: usize, threads: usize, chunk: usize, body: F)
+fn for_each_dynamic_spawn<F>(n: usize, threads: usize, chunk: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
 {
@@ -199,9 +125,9 @@ where
     });
 }
 
-/// The three parallel schedulers compared by experiment E17 and the
-/// `scheduler` Criterion group. All three present the same
-/// `(n, threads, chunk, body)` interface so workloads are interchangeable.
+/// The three parallel schedulers compared by experiment E17. All three
+/// present the same `(n, threads, chunk, body)` interface so workloads are
+/// interchangeable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// Fresh scoped threads per call, one static chunk per worker.
@@ -379,63 +305,6 @@ where
     }
 }
 
-/// Unordered map-reduce over work items delivered through a crossbeam
-/// channel — the shape to reach for when items have wildly uneven cost and
-/// reduction is commutative. Results are folded in completion order.
-pub fn map_reduce_unordered<I, T, M, R>(
-    items: Vec<I>,
-    threads: usize,
-    identity: T,
-    map: M,
-    reduce: R,
-) -> T
-where
-    I: Send,
-    T: Send,
-    M: Fn(I) -> T + Sync,
-    R: Fn(T, T) -> T,
-{
-    if items.is_empty() {
-        return identity;
-    }
-    let threads = threads.clamp(1, items.len());
-    if threads == 1 {
-        let mut acc = identity;
-        for item in items {
-            acc = reduce(acc, map(item));
-        }
-        return acc;
-    }
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<I>();
-    let (out_tx, out_rx) = crossbeam::channel::unbounded::<T>();
-    let n_items = items.len();
-    for item in items {
-        work_tx
-            .send(item)
-            .expect("unbounded channel accepts all items");
-    }
-    drop(work_tx);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let work_rx = work_rx.clone();
-            let out_tx = out_tx.clone();
-            let map = &map;
-            scope.spawn(move || {
-                while let Ok(item) = work_rx.recv() {
-                    out_tx.send(map(item)).expect("receiver outlives workers");
-                }
-            });
-        }
-        drop(out_tx);
-        let mut acc = identity;
-        for _ in 0..n_items {
-            let v = out_rx.recv().expect("one output per item");
-            acc = reduce(acc, v);
-        }
-        acc
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,13 +396,9 @@ mod tests {
     fn static_chunks_cover_exhaustively_with_no_empty_ranges() {
         // The regression this guards: div_ceil chunking used to hand some
         // workers empty ranges (e.g. n = 10, threads = 7 left 2 idle after
-        // a mid-loop break). Exhaustive over small (n, threads) for both
-        // the pool-backed shim and the spawn-per-call scheduler.
+        // a mid-loop break). Exhaustive over small (n, threads).
         for n in 0..=48usize {
             for threads in 1..=9usize {
-                assert_covers_exactly_once(n, &format!("pool n={n} t={threads}"), |body| {
-                    for_each_chunk(n, threads, body)
-                });
                 assert_covers_exactly_once(n, &format!("spawn n={n} t={threads}"), |body| {
                     for_each_chunk_spawn(n, threads, body)
                 });
@@ -546,9 +411,6 @@ mod tests {
         for n in [0usize, 1, 7, 23, 48] {
             for threads in 1..=5usize {
                 for chunk in [1usize, 3, 64] {
-                    assert_covers_exactly_once(n, &format!("dyn n={n} t={threads}"), |body| {
-                        for_each_dynamic(n, threads, chunk, body)
-                    });
                     assert_covers_exactly_once(
                         n,
                         &format!("dyn-spawn n={n} t={threads}"),
@@ -570,18 +432,18 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        for_each_chunk(0, 4, |_, _| panic!("no work expected"));
-        for_each_dynamic(0, 4, 8, |_, _| panic!("no work expected"));
+        for_each_chunk_spawn(0, 4, |_, _| panic!("no work expected"));
+        for_each_dynamic_spawn(0, 4, 8, |_, _| panic!("no work expected"));
         // Single-thread fallback executes inline over the whole range.
-        for_each_chunk(10, 1, |s, e| assert_eq!((s, e), (0, 10)));
+        for_each_chunk_spawn(10, 1, |s, e| assert_eq!((s, e), (0, 10)));
         let count = AtomicUsize::new(0);
-        for_each_chunk(10, 1, |s, e| {
+        for_each_chunk_spawn(10, 1, |s, e| {
             count.fetch_add(e - s, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 10);
         // More threads than items clamps.
         let count = AtomicUsize::new(0);
-        for_each_chunk(3, 64, |s, e| {
+        for_each_chunk_spawn(3, 64, |s, e| {
             count.fetch_add(e - s, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 3);
@@ -593,7 +455,7 @@ mod tests {
         // spun forever claiming empty slices). It now behaves as chunk 1.
         let n = 37;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        for_each_dynamic(n, 4, 0, |s, e| {
+        for_each_dynamic_spawn(n, 4, 0, |s, e| {
             assert_eq!(e, s + 1, "clamped chunk claims one index at a time");
             for h in &hits[s..e] {
                 h.fetch_add(1, Ordering::Relaxed);
@@ -601,7 +463,7 @@ mod tests {
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         // Single-thread fallback with chunk 0 runs the whole range inline.
-        for_each_dynamic(10, 1, 0, |s, e| assert_eq!((s, e), (0, 10)));
+        for_each_dynamic_spawn(10, 1, 0, |s, e| assert_eq!((s, e), (0, 10)));
     }
 
     #[test]
@@ -679,22 +541,11 @@ mod tests {
     }
 
     #[test]
-    fn unordered_map_reduce_commutative_sum() {
-        let items: Vec<u64> = (1..=200).collect();
-        for threads in [1, 3, 8] {
-            let total = map_reduce_unordered(items.clone(), threads, 0u64, |i| i * 2, |a, b| a + b);
-            assert_eq!(total, 200 * 201, "threads = {threads}");
-        }
-        let empty: Vec<u64> = Vec::new();
-        assert_eq!(map_reduce_unordered(empty, 4, 7u64, |i| i, |a, b| a + b), 7);
-    }
-
-    #[test]
     fn uneven_work_is_balanced_by_dynamic_scheduler() {
         // Not a performance assertion (CI noise) — just exercises the path
         // where the last indices carry all the work.
         let total = AtomicU64::new(0);
-        for_each_dynamic(256, 4, 8, |s, e| {
+        for_each_dynamic_spawn(256, 4, 8, |s, e| {
             for i in s..e {
                 let mut acc = 0u64;
                 let reps = if i > 200 { 10_000 } else { 10 };

@@ -5,7 +5,7 @@
 //!
 //! * One lazily-created pool per requested worker count, leaked into
 //!   `'static` storage via [`sized`] (the count of distinct sizes in a
-//!   process is small and bounded, so the leak is bounded too). [`global`]
+//!   process is small and bounded, so the leak is bounded too). `global`
 //!   returns the pool sized to [`crate::par::default_threads`].
 //! * Each worker owns a deque used in Chase–Lev discipline: the owner
 //!   pushes and pops at the **back** (LIFO, cache-hot), thieves and the
@@ -320,7 +320,7 @@ fn worker_loop(shared: &'static Shared, index: usize) {
 
 /// A persistent work-stealing pool with a fixed worker count.
 ///
-/// Obtain one through [`global`] or [`sized`]; pools live for the process
+/// Obtain one through [`sized`]; pools live for the process
 /// lifetime and are shared by every caller requesting the same size.
 pub struct Pool {
     shared: &'static Shared,
@@ -482,7 +482,7 @@ pub fn sized(threads: usize) -> &'static Pool {
 
 /// The default pool, sized to [`crate::par::default_threads`] (which
 /// honours the `RCR_THREADS` override).
-pub fn global() -> &'static Pool {
+fn global() -> &'static Pool {
     sized(crate::par::default_threads())
 }
 
@@ -492,7 +492,7 @@ pub fn global() -> &'static Pool {
 /// pool jobs instead of blocking ("leapfrogging").
 ///
 /// Callable from anywhere: on a non-pool thread the whole pair is moved
-/// onto [`global`] first, so nested kernel code never needs to know
+/// onto the default pool first, so nested kernel code never needs to know
 /// whether it is already inside the pool.
 ///
 /// # Panics

@@ -1,12 +1,7 @@
-//! Reductions and prefix sums over large arrays.
-//!
-//! `sum` is the purest bandwidth-bound kernel in the suite (one load, one
-//! add per element); `prefix_sum` adds the classic two-pass parallel scan,
-//! whose extra pass makes its parallel break-even point visibly later —
-//! a crossover experiment E6 can show.
+//! Sum reductions over large arrays: the purest bandwidth-bound kernel in
+//! the suite (one load, one add per element).
 
 use crate::par;
-use crate::pool;
 use crate::simd;
 use crate::XorShift64;
 
@@ -26,7 +21,7 @@ pub fn sum_naive(xs: &[f64]) -> f64 {
 }
 
 /// Optimized serial sum: eight-way unrolled independent accumulators.
-pub fn sum_optimized(xs: &[f64]) -> f64 {
+fn sum_optimized(xs: &[f64]) -> f64 {
     let mut acc = [0.0f64; 8];
     let chunks = xs.chunks_exact(8);
     let rem = chunks.remainder();
@@ -73,107 +68,10 @@ pub fn sum_parallel_simd(xs: &[f64], threads: usize) -> f64 {
     )
 }
 
-/// Serial inclusive prefix sum.
-pub fn prefix_sum_serial(xs: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = 0.0;
-    for &x in xs {
-        acc += x;
-        out.push(acc);
-    }
-    out
-}
-
-/// Two-pass parallel inclusive prefix sum: per-chunk local scans, serial
-/// scan of chunk totals, then a parallel offset fix-up pass. Both parallel
-/// passes are nested-join recursions on the persistent pool; the chunk
-/// partition (and hence every rounding decision) depends only on
-/// `(n, threads)`.
-pub fn prefix_sum_parallel(xs: &[f64], threads: usize) -> Vec<f64> {
-    let n = xs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return prefix_sum_serial(xs);
-    }
-    let ranges = par::balanced_ranges(n, threads);
-    let mut out = vec![0.0; n];
-
-    // Pass 1: local scans, collecting each chunk's total.
-    let mut totals = vec![0.0f64; ranges.len()];
-    scan_chunks(xs, &mut out, &mut totals, &ranges);
-
-    // Serial exclusive scan of chunk totals -> per-chunk offsets.
-    let mut offsets = vec![0.0f64; totals.len()];
-    let mut acc = 0.0;
-    for (off, &t) in offsets.iter_mut().zip(&totals) {
-        *off = acc;
-        acc += t;
-    }
-
-    // Pass 2: add offsets.
-    add_offsets(&mut out, &offsets, &ranges);
-    out
-}
-
-/// Pass 1 recursion: `out` covers exactly the indices spanned by `ranges`;
-/// each leaf scans its chunk locally and records the chunk total.
-fn scan_chunks(xs: &[f64], out: &mut [f64], totals: &mut [f64], ranges: &[(usize, usize)]) {
-    match ranges.len() {
-        0 => {}
-        1 => {
-            let (s, e) = ranges[0];
-            let mut acc = 0.0;
-            for (o, &x) in out.iter_mut().zip(&xs[s..e]) {
-                acc += x;
-                *o = acc;
-            }
-            totals[0] = acc;
-        }
-        len => {
-            let mid = len / 2;
-            let split = ranges[mid].0 - ranges[0].0;
-            let (ol, or) = out.split_at_mut(split);
-            let (tl, tr) = totals.split_at_mut(mid);
-            let (rl, rr) = ranges.split_at(mid);
-            pool::join(
-                || scan_chunks(xs, ol, tl, rl),
-                || scan_chunks(xs, or, tr, rr),
-            );
-        }
-    }
-}
-
-/// Pass 2 recursion: adds each chunk's offset to its band of `out`.
-fn add_offsets(out: &mut [f64], offsets: &[f64], ranges: &[(usize, usize)]) {
-    match ranges.len() {
-        0 => {}
-        1 => {
-            let off = offsets[0];
-            if off != 0.0 {
-                for o in out {
-                    *o += off;
-                }
-            }
-        }
-        len => {
-            let mid = len / 2;
-            let split = ranges[mid].0 - ranges[0].0;
-            let (ol, or) = out.split_at_mut(split);
-            let (fl, fr) = offsets.split_at(mid);
-            let (rl, rr) = ranges.split_at(mid);
-            pool::join(|| add_offsets(ol, fl, rl), || add_offsets(or, fr, rr));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{approx_eq, approx_eq_slices};
-    use proptest::prelude::*;
+    use crate::verify::approx_eq;
 
     #[test]
     fn sums_agree() {
@@ -205,43 +103,5 @@ mod tests {
         assert_eq!(sum_vectorized(&xs), 5050.0);
         assert_eq!(sum_parallel(&xs, 4), 5050.0);
         assert_eq!(sum_parallel_simd(&xs, 4), 5050.0);
-    }
-
-    #[test]
-    fn prefix_sums_agree() {
-        for n in [0, 1, 2, 17, 1024, 4097] {
-            let xs = gen_data(n, 11);
-            let reference = prefix_sum_serial(&xs);
-            for t in [1, 2, 3, 8] {
-                assert!(
-                    approx_eq_slices(&reference, &prefix_sum_parallel(&xs, t), 1e-9),
-                    "n={n} t={t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_sum_known_value() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(prefix_sum_serial(&xs), vec![1.0, 3.0, 6.0, 10.0]);
-        assert_eq!(prefix_sum_parallel(&xs, 2), vec![1.0, 3.0, 6.0, 10.0]);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_prefix_last_equals_sum(xs in proptest::collection::vec(-100f64..100.0, 1..500)) {
-            let p = prefix_sum_parallel(&xs, 4);
-            let s = sum_naive(&xs);
-            prop_assert!((p[p.len() - 1] - s).abs() < 1e-6 * (1.0 + s.abs()));
-        }
-
-        #[test]
-        fn prop_prefix_monotone_for_positive(xs in proptest::collection::vec(0.0f64..10.0, 1..300)) {
-            let p = prefix_sum_parallel(&xs, 3);
-            for w in p.windows(2) {
-                prop_assert!(w[1] >= w[0] - 1e-12);
-            }
-        }
     }
 }

@@ -34,7 +34,7 @@ pub const LANES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct F64Lanes<const W: usize>(pub [f64; W]);
 
-#[allow(clippy::should_implement_trait)] // named methods, not operators: same idiom as fft::Complex
+#[allow(clippy::should_implement_trait)] // named methods, not operators
 impl<const W: usize> F64Lanes<W> {
     /// All lanes zero.
     pub const ZERO: Self = F64Lanes([0.0; W]);
@@ -63,7 +63,7 @@ impl<const W: usize> F64Lanes<W> {
     /// # Panics
     /// Panics when `xs.len() > W`.
     #[inline]
-    pub fn load_partial(xs: &[f64]) -> Self {
+    fn load_partial(xs: &[f64]) -> Self {
         assert!(xs.len() <= W, "partial load wider than the bundle");
         let mut a = [0.0; W];
         a[..xs.len()].copy_from_slice(xs);
@@ -140,7 +140,7 @@ const ACCS: usize = 4;
 
 /// Vectorized dot product: 4 independent `W`-lane accumulators over the
 /// main body, one bundle for the `W`-wide tail, a masked
-/// [`F64Lanes::load_partial`] for the final `n % W` elements, then a
+/// `F64Lanes::load_partial` for the final `n % W` elements, then a
 /// single horizontal reduction.
 ///
 /// Reassociates relative to [`crate::dotaxpy::dot_naive`]; compare with
@@ -268,7 +268,7 @@ pub const DEFAULT_TILE: usize = 64;
 /// the next power of two and clamped to `8..=256`. Junk (empty, zero,
 /// non-numeric) is rejected with `None` rather than clamped, mirroring
 /// [`crate::par::parse_threads`].
-pub fn parse_tile(s: &str) -> Option<usize> {
+fn parse_tile(s: &str) -> Option<usize> {
     s.trim().parse::<usize>().ok().filter(|&t| t > 0).map(|t| {
         t.clamp(*TILE_RANGE.start(), *TILE_RANGE.end())
             .next_power_of_two()

@@ -6,7 +6,7 @@
 //! use contiguous lane loads (CSR gathers through `col_idx`), so its
 //! speedup comes from instruction-level parallelism instead: each row's
 //! gather-multiply chain runs on four independent accumulators
-//! ([`row_dot_vectorized`]), and rows are processed in batches of four
+//! (`row_dot_vectorized`), and rows are processed in batches of four
 //! independent chains so short rows overlap in the out-of-order window.
 
 use crate::par;
@@ -101,7 +101,7 @@ pub fn serial(m: &Csr, x: &[f64]) -> Vec<f64> {
 /// row's non-zeros — breaks the serial add-latency chain of [`row_dot`].
 /// Reassociates, so results are compared with [`crate::verify::close`].
 #[inline]
-pub fn row_dot_vectorized(m: &Csr, x: &[f64], r: usize) -> f64 {
+fn row_dot_vectorized(m: &Csr, x: &[f64], r: usize) -> f64 {
     let lo = m.row_ptr[r];
     let hi = m.row_ptr[r + 1];
     let cols = &m.col_idx[lo..hi];
@@ -183,36 +183,6 @@ pub fn parallel_static(m: &Csr, x: &[f64], threads: usize) -> Vec<f64> {
     y
 }
 
-/// Parallel SpMV with dynamic self-scheduling (rows claimed in chunks from
-/// an atomic cursor) — tolerant of the heavy-tailed row costs.
-///
-/// # Panics
-/// Panics when `x.len() != n_cols`.
-pub fn parallel_dynamic(m: &Csr, x: &[f64], threads: usize, chunk: usize) -> Vec<f64> {
-    assert_eq!(x.len(), m.n_cols, "x must have n_cols entries");
-    // Rows are independent; collect into per-row slots via interior
-    // mutability-free two-phase: compute into locked-free disjoint chunks is
-    // not possible with a shared cursor, so build with map_reduce over
-    // (row, value) pairs instead: simpler and still contention-light.
-    let n = m.n_rows;
-    let mut y = vec![0.0; n];
-    let slots: Vec<std::sync::atomic::AtomicU64> = (0..n)
-        .map(|_| std::sync::atomic::AtomicU64::new(0))
-        .collect();
-    par::for_each_dynamic(n, threads, chunk.max(1), |s, e| {
-        for (r, slot) in slots.iter().enumerate().take(e).skip(s) {
-            slot.store(
-                row_dot(m, x, r).to_bits(),
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        }
-    });
-    for (out, slot) in y.iter_mut().zip(&slots) {
-        *out = f64::from_bits(slot.load(std::sync::atomic::Ordering::Relaxed));
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,7 +209,6 @@ mod tests {
         let y = serial(&m, &[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![7.0, 0.0, 11.0]);
         assert_eq!(parallel_static(&m, &[1.0, 2.0, 3.0], 2), y);
-        assert_eq!(parallel_dynamic(&m, &[1.0, 2.0, 3.0], 2, 1), y);
         assert_eq!(vectorized(&m, &[1.0, 2.0, 3.0]), y);
         assert_eq!(parallel_vectorized(&m, &[1.0, 2.0, 3.0], 2), y);
     }
@@ -264,11 +233,6 @@ mod tests {
             assert!(approx_eq_slices(
                 &reference,
                 &parallel_static(&m, &x, t),
-                1e-12
-            ));
-            assert!(approx_eq_slices(
-                &reference,
-                &parallel_dynamic(&m, &x, t, 16),
                 1e-12
             ));
             assert!(close_slices(

@@ -56,7 +56,7 @@ fn ulp_key(v: f64) -> i64 {
 /// Distance between two floats in units-in-the-last-place: the number of
 /// representable `f64` values between them (0 when bitwise equal, and
 /// `u64::MAX` when either argument is NaN, so NaN never compares close).
-pub fn ulp_diff(x: f64, y: f64) -> u64 {
+fn ulp_diff(x: f64, y: f64) -> u64 {
     if x.is_nan() || y.is_nan() {
         return u64::MAX;
     }
@@ -91,15 +91,6 @@ pub fn close_slices(a: &[f64], b: &[f64], max_ulps: u64, abs_tol: f64) -> bool {
 /// admitting genuinely wrong answers.
 pub fn sum_abs_tol(terms: impl Iterator<Item = f64>) -> f64 {
     f64::EPSILON * terms.map(f64::abs).sum::<f64>() * 8.0
-}
-
-/// Checksum of a slice (order-dependent fold) for cheap smoke assertions.
-pub fn checksum(xs: &[f64]) -> f64 {
-    let mut acc = 0.0f64;
-    for (i, &x) in xs.iter().enumerate() {
-        acc += x * (1.0 + (i % 7) as f64);
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -169,11 +160,5 @@ mod tests {
         let large = sum_abs_tol([1.0f64; 4000].into_iter());
         assert!(large > 100.0 * small);
         assert!(small > 0.0);
-    }
-
-    #[test]
-    fn checksum_is_order_sensitive() {
-        assert_ne!(checksum(&[1.0, 2.0, 3.0]), checksum(&[3.0, 2.0, 1.0]));
-        assert_eq!(checksum(&[]), 0.0);
     }
 }

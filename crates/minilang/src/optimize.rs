@@ -7,9 +7,6 @@
 //! surfaces at the same point. Source lines are preserved: a folded literal
 //! keeps the line of the expression it replaced, so diagnostics on optimized
 //! code still point at the original source.
-//!
-//! The `bench_ablation_minilang` target measures what this buys — the
-//! question every interpreter implementor asks before adding a pass.
 
 use crate::ast::{Block, Expr, ExprKind, FnDef, Program, Stmt, StmtKind, UnOp};
 use crate::value::{binop, Value};

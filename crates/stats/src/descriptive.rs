@@ -2,8 +2,8 @@
 //!
 //! Two variance algorithms are provided — the single-pass Welford update (used
 //! by streaming consumers such as the cluster simulator's metric accumulators)
-//! and the numerically robust two-pass formula — and the ablation bench
-//! `bench_ablation_stats` compares them.
+//! and the numerically robust two-pass formula — and a property test pins
+//! their agreement.
 
 use crate::{ensure_sample, Error, Result};
 

@@ -25,7 +25,7 @@
 //! ([`ColumnarCohort::select`]), and the aggregation kernels
 //! ([`Engine`]) run over row chunks with per-chunk partial counts merged
 //! in chunk order. The chunk grid depends only on `(n_rows, chunk_rows)`
-//! — never on the scheduler or thread count — so every tier merges the
+//! — never on the thread count or steal timing — so every tier merges the
 //! same partials in the same order and results are reproducible run to
 //! run. Integer counts are identical across tiers unconditionally;
 //! floating-point sums are identical across tiers whenever the addends
@@ -834,7 +834,7 @@ fn pack_rows<P: Fn(usize) -> bool>(
 pub enum Tier {
     /// Single-threaded, one pass over the column.
     Serial,
-    /// Row chunks fanned out over a [`Scheduler`].
+    /// Row chunks fanned out over the work-stealing pool.
     Parallel,
 }
 
@@ -849,19 +849,17 @@ impl Tier {
 }
 
 /// Configured executor for columnar aggregations: a [`Tier`], a thread
-/// count, a [`Scheduler`], and the chunk grain.
+/// count, and the chunk grain.
 ///
 /// The chunk grid is derived from `(n_rows, chunk_rows)` alone and
 /// partials are merged in ascending chunk order, so results do not
-/// depend on the scheduler, the thread count, or execution timing.
+/// depend on the thread count or execution timing.
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     /// Which execution tier to run.
     pub tier: Tier,
     /// Worker threads for the parallel tier.
     pub threads: usize,
-    /// Scheduler fanning chunks out to workers.
-    pub scheduler: Scheduler,
     /// Rows per chunk; rounded up to a multiple of 64 so chunk borders
     /// fall on bitmap word boundaries.
     pub chunk_rows: usize,
@@ -873,7 +871,6 @@ impl Engine {
         Engine {
             tier: Tier::Serial,
             threads: 1,
-            scheduler: Scheduler::WorkStealing,
             chunk_rows: DEFAULT_CHUNK_ROWS,
         }
     }
@@ -883,16 +880,8 @@ impl Engine {
         Engine {
             tier: Tier::Parallel,
             threads: threads.max(1),
-            scheduler: Scheduler::WorkStealing,
             chunk_rows: DEFAULT_CHUNK_ROWS,
         }
-    }
-
-    /// Overrides the scheduler (the parallel tier defaults to
-    /// work-stealing).
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Word-aligned chunk grain actually used.
@@ -922,7 +911,7 @@ impl Engine {
                 .collect();
         }
         let slots: Mutex<Vec<(usize, P)>> = Mutex::new(Vec::with_capacity(n_chunks));
-        self.scheduler.for_each(n_chunks, self.threads, 1, |s, e| {
+        Scheduler::WorkStealing.for_each(n_chunks, self.threads, 1, |s, e| {
             for c in s..e {
                 let p = make(c * grain, ((c + 1) * grain).min(n_rows));
                 slots
@@ -1463,11 +1452,7 @@ mod tests {
         let c = row_cohort();
         let cc = ColumnarCohort::from_cohort(&c).unwrap();
         let sel = cc.select(&Filter::choice_is("field", "physics"));
-        let engines = [
-            Engine::serial(),
-            Engine::parallel(4),
-            Engine::parallel(4).with_scheduler(Scheduler::SpawnStatic),
-        ];
+        let engines = [Engine::serial(), Engine::parallel(4)];
         // Tiny chunks force multi-chunk merging even at 70 rows.
         for mut e in engines {
             e.chunk_rows = 64;
