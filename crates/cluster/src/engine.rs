@@ -26,7 +26,7 @@ use crate::faults::{
     attempt_duration, backoff_penalty, progress_saved, FaultInjector, FaultSpec, RecoveryPolicy,
 };
 use crate::job::{AbandonedJob, CompletedJob, Job};
-use crate::sched::{requeue, select, Policy, QueuedJob, RunningJob};
+use crate::sched::{select, Policy, QueuedJob, RunningJob, RunningSet, WaitQueue};
 use crate::sim::Outcome;
 use crate::{Error, Result};
 
@@ -43,8 +43,8 @@ pub struct Engine {
     /// window-0 reseed, so the TTF draws come from the right stream.
     armed: bool,
     free: usize,
-    queue: Vec<QueuedJob>,
-    running: Vec<RunningJob>,
+    queue: WaitQueue,
+    running: RunningSet,
     /// Arena of injected jobs; event payloads index into it.
     jobs: Vec<Job>,
     // Per-job mutable state, indexed like `jobs`.
@@ -58,6 +58,9 @@ pub struct Engine {
     completed: Vec<CompletedJob>,
     abandoned: Vec<AbandonedJob>,
     node_failures: usize,
+    /// Arrival events processed: every arrived job is queued, running,
+    /// or resolved.
+    arrived: usize,
     resolved: usize,
     /// Next class-0 (arrival) sequence number.
     arr_seq: u64,
@@ -93,8 +96,8 @@ impl Engine {
             events: EventQueue::new(),
             armed: false,
             free: nodes,
-            queue: Vec::new(),
-            running: Vec::new(),
+            queue: WaitQueue::new(),
+            running: RunningSet::new(),
             jobs: Vec::new(),
             attempts: Vec::new(),
             wasted: Vec::new(),
@@ -106,6 +109,7 @@ impl Engine {
             completed: Vec::new(),
             abandoned: Vec::new(),
             node_failures: 0,
+            arrived: 0,
             resolved: 0,
             arr_seq: 0,
             dyn_seq: 0,
@@ -245,31 +249,41 @@ impl Engine {
         }
     }
 
-    /// Handles one event, then lets the policy start whatever it can.
+    /// Handles one event, then lets the policy start whatever it can. Debug
+    /// builds check the engine's conservation laws afterwards.
     fn step(&mut self, now: f64, kind: EventKind) {
+        if self.apply(now, kind) {
+            self.schedule(now);
+        }
+        if cfg!(debug_assertions) {
+            self.check_invariants();
+        }
+    }
+
+    /// Applies one event to the cluster state. Returns whether anything
+    /// changed, i.e. whether a scheduling pass is due.
+    fn apply(&mut self, now: f64, kind: EventKind) -> bool {
         debug_assert!(now >= self.last_time, "event time went backwards");
         self.last_time = now;
         self.events_processed += 1;
         match kind {
             EventKind::Arrival { job } => {
-                requeue(
-                    &mut self.queue,
-                    QueuedJob {
-                        job_idx: job,
-                        nodes: self.jobs[job].nodes,
-                        estimate: self.jobs[job].estimate,
-                        priority: self.jobs[job].submit,
-                    },
-                );
+                self.arrived += 1;
+                self.queue.insert(QueuedJob {
+                    job_idx: job,
+                    nodes: self.jobs[job].nodes,
+                    estimate: self.jobs[job].estimate,
+                    priority: self.jobs[job].submit,
+                });
             }
             EventKind::Finish { job, attempt } => {
                 // Stale finishes (the attempt was killed) are ignored —
                 // without a scheduling pass, since nothing changed.
                 if self.attempts[job] != attempt {
-                    return;
+                    return false;
                 }
-                let Some(pos) = self.running.iter().position(|r| r.job_idx == job) else {
-                    return;
+                let Some(pos) = self.running_pos(job) else {
+                    return false;
                 };
                 let r = self.running.swap_remove(pos);
                 self.free += r.nodes;
@@ -296,7 +310,8 @@ impl Engine {
                 self.push_dyn(now + self.spec.repair_time, EventKind::NodeRepair { node });
                 let busy = self.up - self.free;
                 if self.inj.failure_hits_busy(busy, self.up) {
-                    let weights: Vec<usize> = self.running.iter().map(|r| r.nodes).collect();
+                    let weights: Vec<usize> =
+                        self.running.as_slice().iter().map(|r| r.nodes).collect();
                     let victim = self.inj.pick_victim(&weights);
                     let r = self.running.remove(victim);
                     // The victim's nodes come back idle, minus the one
@@ -325,17 +340,43 @@ impl Engine {
                 // a node failure) are ignored — again with no scheduling
                 // pass, since cluster state did not change.
                 if self.attempts[job] != attempt {
-                    return;
+                    return false;
                 }
-                let Some(pos) = self.running.iter().position(|r| r.job_idx == job) else {
-                    return;
+                let Some(pos) = self.running_pos(job) else {
+                    return false;
                 };
                 let r = self.running.remove(pos);
                 self.free += r.nodes;
                 self.kill(job, now);
             }
         }
-        self.schedule(now);
+        true
+    }
+
+    /// Placement-order position of `job` among the running jobs.
+    fn running_pos(&self, job: usize) -> Option<usize> {
+        self.running
+            .as_slice()
+            .iter()
+            .position(|r| r.job_idx == job)
+    }
+
+    /// Every arrived job is queued, running, or resolved; every up node is
+    /// free or held by a running job; the queue's block summaries and the
+    /// running set's finish index agree with their contents.
+    fn check_invariants(&self) {
+        assert_eq!(
+            self.arrived,
+            self.resolved + self.queue.len() + self.running.len(),
+            "arrived jobs are queued, running, or resolved"
+        );
+        self.running.check();
+        assert_eq!(
+            self.free + self.running.held(),
+            self.up,
+            "up nodes are free or held"
+        );
+        self.queue.check();
     }
 
     /// Kills the (running) job's current attempt at `now`: accounts the
@@ -363,15 +404,12 @@ impl Engine {
             let scale = j.estimate / j.runtime;
             let estimate = (self.remaining[job] * scale)
                 .max(attempt_duration(self.remaining[job], &self.recovery));
-            requeue(
-                &mut self.queue,
-                QueuedJob {
-                    job_idx: job,
-                    nodes: j.nodes,
-                    estimate,
-                    priority: now + backoff,
-                },
-            );
+            self.queue.insert(QueuedJob {
+                job_idx: job,
+                nodes: j.nodes,
+                estimate,
+                priority: now + backoff,
+            });
         } else {
             self.abandoned.push(AbandonedJob {
                 job: *j,
@@ -390,6 +428,7 @@ impl Engine {
             starts.windows(2).all(|w| w[0] < w[1]),
             "policies return sorted unique positions"
         );
+        // Back to front, so the positions still to remove stay valid.
         for &pos in starts.iter().rev() {
             let qj = self.queue.remove(pos);
             let job = qj.job_idx;

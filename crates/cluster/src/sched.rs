@@ -1,9 +1,27 @@
-//! Scheduling policies: FCFS, shortest-job-first, and EASY backfill.
+//! Scheduling policies: FCFS, shortest-job-first, EASY backfill, and
+//! conservative backfill.
 //!
 //! The policy function is pure: given the waiting queue, the running set,
 //! and the node counts, it returns which queued jobs to start *now*. The
 //! simulator owns all state mutation, which keeps policies trivially
 //! testable.
+//!
+//! Every event runs one scheduling pass, so the two structures the pass
+//! reads are shaped for EASY's per-event cost:
+//!
+//! * `WaitQueue` keeps the waiting jobs in priority order, chunked into
+//!   blocks of at most 64 jobs. Each block caches the smallest node
+//!   count and the smallest estimate among its jobs, so the backfill scan
+//!   skips every block that cannot hold a candidate.
+//! * `RunningSet` keeps the running jobs in placement order beside an
+//!   index ordered by expected finish, so the head job's shadow time is a
+//!   walk over the earliest finishers rather than a sort of the whole set.
+//!
+//! An EASY pass therefore costs O(blocks + candidates) rather than
+//! O(queue + running · log running), and it makes exactly the decisions of
+//! the slice-based pass it replaced: `tests/sched_golden.rs` pins the
+//! outcome digests, and property tests below check every pass against that
+//! slice-based pass, kept as the test reference.
 
 /// Which scheduling policy to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,15 +76,6 @@ pub struct QueuedJob {
     pub priority: f64,
 }
 
-/// Inserts a job into a queue kept sorted by ascending [`QueuedJob::priority`],
-/// after any existing entries with an equal priority (so first-come order is
-/// preserved among ties, and a requeue never leapfrogs a same-priority
-/// arrival).
-pub fn requeue(queue: &mut Vec<QueuedJob>, job: QueuedJob) {
-    let at = queue.partition_point(|q| q.priority <= job.priority);
-    queue.insert(at, job);
-}
-
 /// A running job, as the scheduler sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningJob {
@@ -79,15 +88,345 @@ pub struct RunningJob {
     pub expected_finish: f64,
 }
 
-/// Selects queue *positions* to start now, in start order. Positions refer
-/// to `queue` as passed in; the caller removes them afterwards.
-pub fn select(
+/// Most jobs one [`WaitQueue`] block holds. A block that grows past it
+/// splits in two; a block that shrinks merges with its successor when
+/// both fit in one.
+const BLOCK: usize = 64;
+
+/// A job's place in a [`WaitQueue`]: what [`select`] returns and
+/// [`WaitQueue::remove`] takes. Positions compare in queue order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) struct QueuePos {
+    block: usize,
+    offset: usize,
+}
+
+/// A run of consecutive queued jobs with cached lower bounds.
+#[derive(Debug, Clone)]
+struct Block {
+    jobs: Vec<QueuedJob>,
+    /// Smallest `nodes` in `jobs`.
+    min_nodes: usize,
+    /// Smallest `estimate` in `jobs`.
+    min_est: f64,
+}
+
+impl Block {
+    fn new(jobs: Vec<QueuedJob>) -> Self {
+        let mut b = Block {
+            jobs,
+            min_nodes: usize::MAX,
+            min_est: f64::INFINITY,
+        };
+        b.summarize();
+        b
+    }
+
+    fn summarize(&mut self) {
+        self.min_nodes = self
+            .jobs
+            .iter()
+            .map(|j| j.nodes)
+            .min()
+            .unwrap_or(usize::MAX);
+        self.min_est = self
+            .jobs
+            .iter()
+            .map(|j| j.estimate)
+            .fold(f64::INFINITY, f64::min);
+    }
+
+    fn last_priority(&self) -> f64 {
+        self.jobs.last().expect("blocks are never empty").priority
+    }
+}
+
+/// The waiting queue: jobs in ascending [`QueuedJob::priority`], first
+/// come first among equal priorities, held in blocks of at most 64 jobs
+/// that each cache the smallest node count and estimate inside.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WaitQueue {
+    /// Never holds an empty block.
+    blocks: Vec<Block>,
+    len: usize,
+}
+
+impl WaitQueue {
+    /// An empty queue.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Jobs waiting.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no job is waiting.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Inserts a job after every queued job whose priority is at most
+    /// its own — the place `partition_point(|q| q.priority <= p)` finds in
+    /// a flat sorted queue — so first-come order is preserved among ties
+    /// and a requeue never leapfrogs a same-priority arrival. Arrivals in
+    /// submit order reduce to an append.
+    pub(crate) fn insert(&mut self, job: QueuedJob) {
+        self.len += 1;
+        let p = job.priority;
+        let bi = self.blocks.partition_point(|b| b.last_priority() <= p);
+        if bi == self.blocks.len() {
+            match self.blocks.last_mut() {
+                Some(b) if b.jobs.len() < BLOCK => {
+                    b.jobs.push(job);
+                    b.min_nodes = b.min_nodes.min(job.nodes);
+                    b.min_est = b.min_est.min(job.estimate);
+                }
+                _ => {
+                    let mut jobs = Vec::with_capacity(BLOCK);
+                    jobs.push(job);
+                    self.blocks.push(Block::new(jobs));
+                }
+            }
+            return;
+        }
+        let b = &mut self.blocks[bi];
+        let at = b.jobs.partition_point(|q| q.priority <= p);
+        b.jobs.insert(at, job);
+        b.min_nodes = b.min_nodes.min(job.nodes);
+        b.min_est = b.min_est.min(job.estimate);
+        if b.jobs.len() > BLOCK {
+            let tail = b.jobs.split_off(b.jobs.len() / 2);
+            b.summarize();
+            self.blocks.insert(bi + 1, Block::new(tail));
+        }
+    }
+
+    /// Removes and returns the job at `pos`. Positions before `pos` stay
+    /// valid, so a caller removing several positions goes from the back.
+    ///
+    /// # Panics
+    /// If `pos` does not name a queued job.
+    pub(crate) fn remove(&mut self, pos: QueuePos) -> QueuedJob {
+        let bi = pos.block;
+        let job = self.blocks[bi].jobs.remove(pos.offset);
+        self.len -= 1;
+        if self.blocks[bi].jobs.is_empty() {
+            self.blocks.remove(bi);
+            return job;
+        }
+        // Appending the successor keeps every earlier position valid.
+        if bi + 1 < self.blocks.len()
+            && self.blocks[bi].jobs.len() + self.blocks[bi + 1].jobs.len() <= BLOCK
+        {
+            let next = self.blocks.remove(bi + 1);
+            self.blocks[bi].jobs.extend(next.jobs);
+        }
+        self.blocks[bi].summarize();
+        job
+    }
+
+    /// Queued jobs with their positions, in queue order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (QueuePos, &QueuedJob)> + '_ {
+        self.blocks.iter().enumerate().flat_map(|(block, b)| {
+            b.jobs
+                .iter()
+                .enumerate()
+                .map(move |(offset, j)| (QueuePos { block, offset }, j))
+        })
+    }
+
+    /// Asserts that the length, the order, and every block summary agree
+    /// with the queued jobs.
+    ///
+    /// # Panics
+    /// On any inconsistency.
+    pub(crate) fn check(&self) {
+        let mut len = 0;
+        let mut last = f64::NEG_INFINITY;
+        for b in &self.blocks {
+            assert!(!b.jobs.is_empty() && b.jobs.len() <= BLOCK, "block size");
+            len += b.jobs.len();
+            let mut min_nodes = usize::MAX;
+            let mut min_est = f64::INFINITY;
+            for j in &b.jobs {
+                assert!(last <= j.priority, "priority order");
+                last = j.priority;
+                min_nodes = min_nodes.min(j.nodes);
+                min_est = min_est.min(j.estimate);
+            }
+            assert_eq!(b.min_nodes, min_nodes, "block min nodes");
+            assert_eq!(b.min_est.to_bits(), min_est.to_bits(), "block min estimate");
+        }
+        assert_eq!(self.len, len, "queue length");
+    }
+}
+
+/// The running jobs, in placement order, with an index by expected finish.
+///
+/// Placement order is what the fault injector's victim draw indexes, so
+/// [`RunningSet::remove`] and [`RunningSet::swap_remove`] keep the `Vec`
+/// semantics of their names. Each job carries a stamp that increases along
+/// placement order: a push takes a fresh stamp, `remove` keeps the others,
+/// and `swap_remove` hands the removed job's stamp to the job it moves into
+/// the gap. The index is sorted by `(expected_finish, stamp)`, which is
+/// the order of a stable sort of the placement `Vec` by expected finish.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunningSet {
+    jobs: Vec<RunningJob>,
+    stamps: Vec<u64>,
+    next_stamp: u64,
+    /// Nodes held by all running jobs.
+    held: usize,
+    /// `(expected_finish, stamp, nodes)` per running job, sorted by finish
+    /// (`total_cmp`, which agrees with `partial_cmp` on the finite,
+    /// non-negative times the simulator produces), then stamp.
+    by_finish: Vec<(f64, u64, usize)>,
+}
+
+impl RunningSet {
+    /// An empty set.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Jobs running.
+    pub(crate) fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Nodes held by all running jobs.
+    pub(crate) fn held(&self) -> usize {
+        self.held
+    }
+
+    /// The running jobs in placement order.
+    pub(crate) fn as_slice(&self) -> &[RunningJob] {
+        &self.jobs
+    }
+
+    /// Places a job after every running one.
+    pub(crate) fn push(&mut self, job: RunningJob) {
+        debug_assert!(job.expected_finish.is_finite(), "finite finish times");
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.jobs.push(job);
+        self.stamps.push(stamp);
+        self.held += job.nodes;
+        self.index(job.expected_finish, stamp, job.nodes);
+    }
+
+    /// Removes the job at `pos`, shifting later jobs down, as
+    /// [`Vec::remove`].
+    ///
+    /// # Panics
+    /// If `pos` is out of bounds.
+    pub(crate) fn remove(&mut self, pos: usize) -> RunningJob {
+        let job = self.jobs.remove(pos);
+        let stamp = self.stamps.remove(pos);
+        self.held -= job.nodes;
+        self.unindex(job.expected_finish, stamp);
+        job
+    }
+
+    /// Removes the job at `pos` and moves the last job into its place, as
+    /// [`Vec::swap_remove`]. The moved job takes over the removed job's
+    /// stamp, so stamps keep increasing along placement order.
+    ///
+    /// # Panics
+    /// If `pos` is out of bounds.
+    pub(crate) fn swap_remove(&mut self, pos: usize) -> RunningJob {
+        let job = self.jobs.swap_remove(pos);
+        let last_stamp = self.stamps.pop().expect("pos is in bounds");
+        let stamp = self.stamps.get(pos).copied().unwrap_or(last_stamp);
+        self.held -= job.nodes;
+        self.unindex(job.expected_finish, stamp);
+        if let Some(&moved) = self.jobs.get(pos) {
+            self.unindex(moved.expected_finish, last_stamp);
+            self.index(moved.expected_finish, stamp, moved.nodes);
+        }
+        job
+    }
+
+    /// Where `(finish, stamp)` is, or would go, in the index.
+    fn slot(&self, finish: f64, stamp: u64) -> Result<usize, usize> {
+        self.by_finish
+            .binary_search_by(|&(t, s, _)| t.total_cmp(&finish).then(s.cmp(&stamp)))
+    }
+
+    fn index(&mut self, finish: f64, stamp: u64, nodes: usize) {
+        let at = self.slot(finish, stamp).expect_err("stamps are unique");
+        self.by_finish.insert(at, (finish, stamp, nodes));
+    }
+
+    fn unindex(&mut self, finish: f64, stamp: u64) {
+        let at = self.slot(finish, stamp).expect("running jobs are indexed");
+        self.by_finish.remove(at);
+    }
+
+    /// The EASY reservation for a head job needing `need` nodes while
+    /// `free` are idle at `now`: the earliest time, by estimated
+    /// completions, at which `need` nodes are free, and how many beyond
+    /// `need` are free then. `None` if that never happens.
+    ///
+    /// Finishers are taken in the order of a stable sort by
+    /// `expected_finish.max(now)`. Jobs already past their expected finish
+    /// (attempts can overrun their estimate under checkpointing) all clamp
+    /// to `now`, so they go in placement (stamp) order; which of them
+    /// crosses `need` decides the spare count.
+    fn shadow(&self, need: usize, free: usize, now: f64) -> Option<(f64, usize)> {
+        if free + self.held < need {
+            return None;
+        }
+        let split = self.by_finish.partition_point(|&(t, _, _)| t <= now);
+        let (overdue, later) = self.by_finish.split_at(split);
+        let mut overdue: Vec<(u64, usize)> = overdue.iter().map(|&(_, s, n)| (s, n)).collect();
+        overdue.sort_unstable();
+        let overdue = overdue.into_iter().map(|(_, n)| (now, n));
+        let mut avail = free;
+        for (t, nodes) in overdue.chain(later.iter().map(|&(t, _, n)| (t, n))) {
+            avail += nodes;
+            if avail >= need {
+                return Some((t, avail - need));
+            }
+        }
+        None
+    }
+
+    /// Asserts that stamps increase along placement order, that the held
+    /// node count is their sum, and that the finish index holds exactly
+    /// the running jobs, in order.
+    ///
+    /// # Panics
+    /// On any inconsistency.
+    pub(crate) fn check(&self) {
+        assert_eq!(self.jobs.len(), self.stamps.len(), "one stamp per job");
+        assert!(self.stamps.windows(2).all(|w| w[0] < w[1]), "stamp order");
+        assert_eq!(self.by_finish.len(), self.jobs.len(), "index size");
+        let held: usize = self.jobs.iter().map(|j| j.nodes).sum();
+        assert_eq!(self.held, held, "nodes held");
+        let ordered = self.by_finish.windows(2).all(|w| {
+            let (a, b) = (w[0], w[1]);
+            a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
+        });
+        assert!(ordered, "index order");
+        for (j, &stamp) in self.jobs.iter().zip(&self.stamps) {
+            let at = self.slot(j.expected_finish, stamp).expect("index entry");
+            assert_eq!(self.by_finish[at].2, j.nodes, "index nodes");
+        }
+    }
+}
+
+/// Selects the queued jobs to start now, in queue order. The caller
+/// removes them from `queue` back to front (see [`WaitQueue::remove`]).
+pub(crate) fn select(
     policy: Policy,
-    queue: &[QueuedJob],
-    running: &[RunningJob],
+    queue: &WaitQueue,
+    running: &RunningSet,
     free_nodes: usize,
     now: f64,
-) -> Vec<usize> {
+) -> Vec<QueuePos> {
     // Every event triggers a scheduling pass; at scale most passes see an
     // empty queue (or no capacity), so skip the policy machinery — and its
     // allocations — outright.
@@ -98,7 +437,7 @@ pub fn select(
         Policy::Fcfs => fcfs(queue, free_nodes),
         Policy::Sjf => sjf(queue, free_nodes),
         Policy::EasyBackfill => easy(queue, running, free_nodes, now),
-        Policy::ConservativeBackfill => conservative(queue, running, free_nodes, now),
+        Policy::ConservativeBackfill => conservative(queue, running.as_slice(), free_nodes, now),
     }
 }
 
@@ -112,9 +451,20 @@ struct Profile {
 
 impl Profile {
     fn new(free_now: usize, running: &[RunningJob], now: f64) -> Self {
+        // A job running past its expected finish frees its nodes at some
+        // instant after `now`, never at `now` itself: they are not in
+        // `free_now`, and counting them would over-commit the machine.
+        let soon = now.next_up();
         let mut deltas: Vec<(f64, i64)> = running
             .iter()
-            .map(|r| (r.expected_finish.max(now), r.nodes as i64))
+            .map(|r| {
+                let t = if r.expected_finish > now {
+                    r.expected_finish
+                } else {
+                    soon
+                };
+                (t, r.nodes as i64)
+            })
             .collect();
         deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
         Profile {
@@ -169,10 +519,10 @@ impl Profile {
     }
 }
 
-fn conservative(queue: &[QueuedJob], running: &[RunningJob], free: usize, now: f64) -> Vec<usize> {
+fn conservative(queue: &WaitQueue, running: &[RunningJob], free: usize, now: f64) -> Vec<QueuePos> {
     let mut profile = Profile::new(free, running, now);
     let mut starts = Vec::new();
-    for (pos, j) in queue.iter().enumerate() {
+    for (pos, j) in queue.iter() {
         // Earliest profile slot with capacity for the whole estimated run.
         let mut assigned = None;
         for t in profile.candidates(now) {
@@ -193,9 +543,9 @@ fn conservative(queue: &[QueuedJob], running: &[RunningJob], free: usize, now: f
     starts
 }
 
-fn fcfs(queue: &[QueuedJob], mut free: usize) -> Vec<usize> {
+fn fcfs(queue: &WaitQueue, mut free: usize) -> Vec<QueuePos> {
     let mut starts = Vec::new();
-    for (pos, j) in queue.iter().enumerate() {
+    for (pos, j) in queue.iter() {
         if j.nodes <= free {
             free -= j.nodes;
             starts.push(pos);
@@ -206,21 +556,20 @@ fn fcfs(queue: &[QueuedJob], mut free: usize) -> Vec<usize> {
     starts
 }
 
-fn sjf(queue: &[QueuedJob], mut free: usize) -> Vec<usize> {
+fn sjf(queue: &WaitQueue, mut free: usize) -> Vec<QueuePos> {
     // Greedy: repeatedly take the shortest-estimate job that fits
     // (ties broken by queue order for determinism).
-    let mut order: Vec<usize> = (0..queue.len()).collect();
-    order.sort_by(|&a, &b| {
-        queue[a]
-            .estimate
-            .partial_cmp(&queue[b].estimate)
+    let mut order: Vec<(QueuePos, &QueuedJob)> = queue.iter().collect();
+    order.sort_by(|(a, ja), (b, jb)| {
+        ja.estimate
+            .partial_cmp(&jb.estimate)
             .expect("estimates are finite")
-            .then(a.cmp(&b))
+            .then(a.cmp(b))
     });
     let mut starts = Vec::new();
-    for pos in order {
-        if queue[pos].nodes <= free {
-            free -= queue[pos].nodes;
+    for (pos, j) in order {
+        if j.nodes <= free {
+            free -= j.nodes;
             starts.push(pos);
         }
     }
@@ -228,60 +577,62 @@ fn sjf(queue: &[QueuedJob], mut free: usize) -> Vec<usize> {
     starts
 }
 
-fn easy(queue: &[QueuedJob], running: &[RunningJob], mut free: usize, now: f64) -> Vec<usize> {
+fn easy(queue: &WaitQueue, running: &RunningSet, mut free: usize, now: f64) -> Vec<QueuePos> {
     let mut starts = Vec::new();
-    let mut pos = 0;
     // Phase 1: start from the head while jobs fit (plain FCFS progress).
-    while pos < queue.len() && queue[pos].nodes <= free {
-        free -= queue[pos].nodes;
-        starts.push(pos);
-        pos += 1;
-    }
-    if pos >= queue.len() {
-        return starts;
-    }
-    // Phase 2: the head job `queue[pos]` does not fit. Compute its
-    // reservation: the shadow time when enough nodes will be free (by
-    // estimated completions), and how many nodes beyond its need will be
-    // free then.
-    let head = queue[pos];
-    let mut finishes: Vec<(f64, usize)> = running
-        .iter()
-        .map(|r| (r.expected_finish.max(now), r.nodes))
-        .collect();
-    finishes.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-    let mut avail = free;
-    let mut shadow = f64::INFINITY;
-    let mut extra = 0usize;
-    for (t, n) in finishes {
-        avail += n;
-        if avail >= head.nodes {
-            shadow = t;
-            extra = avail - head.nodes;
-            break;
+    let mut jobs = queue.iter();
+    let (head_pos, head) = loop {
+        match jobs.next() {
+            None => return starts,
+            Some((pos, j)) if j.nodes <= free => {
+                free -= j.nodes;
+                starts.push(pos);
+            }
+            Some(head) => break head,
         }
-    }
-    if shadow.is_infinite() {
+    };
+    // Phase 2: the head job does not fit. Compute its reservation: the
+    // shadow time when enough nodes will be free (by estimated
+    // completions), and how many nodes beyond its need will be free then.
+    let Some((shadow, mut extra)) = running.shadow(head.nodes, free, now) else {
         // Head job can never run (wider than the machine) — the simulator
         // rejects such jobs up front, so treat as "no backfill possible".
         return starts;
-    }
+    };
     // Phase 3: backfill the rest of the queue in order. A job may start iff
     // it fits in the free nodes now AND it does not delay the reservation:
     // either it finishes by the shadow time, or it only uses nodes that
     // will still be spare at the shadow time.
-    for (offset, j) in queue.iter().enumerate().skip(pos + 1) {
-        if j.nodes > free {
-            continue;
+    for (bi, block) in queue.blocks.iter().enumerate().skip(head_pos.block) {
+        if free == 0 {
+            break; // every job needs at least one node
         }
-        let finishes_in_time = now + j.estimate <= shadow;
-        let uses_spare_nodes = j.nodes <= extra;
-        if finishes_in_time || uses_spare_nodes {
-            free -= j.nodes;
-            if uses_spare_nodes && !finishes_in_time {
-                extra -= j.nodes;
+        let first = if bi == head_pos.block {
+            head_pos.offset + 1
+        } else if block.min_nodes > free
+            || (block.min_nodes > extra && now + block.min_est > shadow)
+        {
+            // No job here fits now, or each one would need spare nodes
+            // that are not there and none finishes in time: rounding is
+            // monotone, so `now + estimate` is at least `now + min_est`.
+            // `free` and `extra` only shrink, so the skip stays sound.
+            continue;
+        } else {
+            0
+        };
+        for (offset, j) in block.jobs.iter().enumerate().skip(first) {
+            if j.nodes > free {
+                continue;
             }
-            starts.push(offset);
+            let finishes_in_time = now + j.estimate <= shadow;
+            let uses_spare_nodes = j.nodes <= extra;
+            if finishes_in_time || uses_spare_nodes {
+                free -= j.nodes;
+                if uses_spare_nodes && !finishes_in_time {
+                    extra -= j.nodes;
+                }
+                starts.push(QueuePos { block: bi, offset });
+            }
         }
     }
     starts
@@ -290,6 +641,70 @@ fn easy(queue: &[QueuedJob], running: &[RunningJob], mut free: usize, now: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The slice-based EASY pass the block queue and finish index
+    /// replaced: a stable sort of the whole running set for the shadow
+    /// time, then a scan of the whole queue tail. The reference the
+    /// property tests hold [`easy`] to.
+    fn easy_reference(
+        queue: &[QueuedJob],
+        running: &[RunningJob],
+        mut free: usize,
+        now: f64,
+    ) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut pos = 0;
+        while pos < queue.len() && queue[pos].nodes <= free {
+            free -= queue[pos].nodes;
+            starts.push(pos);
+            pos += 1;
+        }
+        if pos >= queue.len() {
+            return starts;
+        }
+        let head = queue[pos];
+        let mut finishes: Vec<(f64, usize)> = running
+            .iter()
+            .map(|r| (r.expected_finish.max(now), r.nodes))
+            .collect();
+        finishes.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+        let mut avail = free;
+        let mut shadow = f64::INFINITY;
+        let mut extra = 0usize;
+        for (t, n) in finishes {
+            avail += n;
+            if avail >= head.nodes {
+                shadow = t;
+                extra = avail - head.nodes;
+                break;
+            }
+        }
+        if shadow.is_infinite() {
+            return starts;
+        }
+        for (offset, j) in queue.iter().enumerate().skip(pos + 1) {
+            if j.nodes > free {
+                continue;
+            }
+            let finishes_in_time = now + j.estimate <= shadow;
+            let uses_spare_nodes = j.nodes <= extra;
+            if finishes_in_time || uses_spare_nodes {
+                free -= j.nodes;
+                if uses_spare_nodes && !finishes_in_time {
+                    extra -= j.nodes;
+                }
+                starts.push(offset);
+            }
+        }
+        starts
+    }
+
+    /// The flat-`Vec` queue insertion [`WaitQueue::insert`] must match.
+    fn insert_reference(queue: &mut Vec<QueuedJob>, job: QueuedJob) {
+        let at = queue.partition_point(|q| q.priority <= job.priority);
+        queue.insert(at, job);
+    }
 
     fn q(job_idx: usize, nodes: usize, estimate: f64) -> QueuedJob {
         QueuedJob {
@@ -308,6 +723,48 @@ mod tests {
         }
     }
 
+    fn wait_queue(jobs: &[QueuedJob]) -> WaitQueue {
+        let mut queue = WaitQueue::new();
+        for j in jobs {
+            queue.insert(*j);
+        }
+        queue
+    }
+
+    fn running_set(jobs: &[RunningJob]) -> RunningSet {
+        let mut running = RunningSet::new();
+        for j in jobs {
+            running.push(*j);
+        }
+        running
+    }
+
+    fn flat(queue: &WaitQueue) -> Vec<QueuedJob> {
+        queue.iter().map(|(_, j)| *j).collect()
+    }
+
+    /// Flat queue indices of `starts`.
+    fn indices(queue: &WaitQueue, starts: &[QueuePos]) -> Vec<usize> {
+        let positions: Vec<QueuePos> = queue.iter().map(|(p, _)| p).collect();
+        starts
+            .iter()
+            .map(|p| positions.binary_search(p).expect("a queued position"))
+            .collect()
+    }
+
+    /// Runs `policy` over jobs given as slices and reports flat queue
+    /// indices.
+    fn pick(
+        policy: Policy,
+        queue: &[QueuedJob],
+        running: &[RunningJob],
+        free: usize,
+        now: f64,
+    ) -> Vec<usize> {
+        let wq = wait_queue(queue);
+        indices(&wq, &select(policy, &wq, &running_set(running), free, now))
+    }
+
     #[test]
     fn policy_metadata() {
         assert_eq!(Policy::Fcfs.name(), "FCFS");
@@ -324,7 +781,8 @@ mod tests {
         // nodes J0 needs at t=100 -> must NOT start.
         let running = [r(6, 100.0)];
         let queue = [q(0, 4, 50.0), q(1, 2, 40.0), q(2, 2, 500.0)];
-        assert_eq!(conservative(&queue, &running, 2, 0.0), vec![1]);
+        let got = pick(Policy::ConservativeBackfill, &queue, &running, 2, 0.0);
+        assert_eq!(got, vec![1]);
     }
 
     #[test]
@@ -344,16 +802,32 @@ mod tests {
         // accept the harmless 8s job.
         let running = [r(6, 10.0)];
         let queue = [q(0, 8, 5.0), q(1, 4, 100.0), q(2, 2, 8.0)];
-        assert_eq!(easy(&queue, &running, 2, 0.0), vec![2]);
-        assert_eq!(conservative(&queue, &running, 2, 0.0), vec![2]);
+        assert_eq!(
+            pick(Policy::EasyBackfill, &queue, &running, 2, 0.0),
+            vec![2]
+        );
+        let got = pick(Policy::ConservativeBackfill, &queue, &running, 2, 0.0);
+        assert_eq!(got, vec![2]);
     }
 
     #[test]
     fn conservative_starts_everything_when_machine_is_empty() {
         let queue = [q(0, 2, 10.0), q(1, 2, 10.0), q(2, 4, 10.0)];
-        assert_eq!(conservative(&queue, &[], 8, 5.0), vec![0, 1, 2]);
+        let policy = Policy::ConservativeBackfill;
+        assert_eq!(pick(policy, &queue, &[], 8, 5.0), vec![0, 1, 2]);
         // And respects capacity when it cannot fit all.
-        assert_eq!(conservative(&queue, &[], 4, 5.0), vec![0, 1]);
+        assert_eq!(pick(policy, &queue, &[], 4, 5.0), vec![0, 1]);
+    }
+
+    #[test]
+    fn conservative_never_counts_overdue_nodes_as_free() {
+        // A checkpointing attempt overran its estimate: 6 nodes expected
+        // back at t=50 are still busy at t=80, and only 2 are free. A
+        // 4-node job must wait for them rather than start on them now.
+        let running = [r(6, 50.0)];
+        let queue = [q(0, 4, 10.0), q(1, 2, 10.0)];
+        let got = pick(Policy::ConservativeBackfill, &queue, &running, 2, 80.0);
+        assert_eq!(got, vec![1]);
     }
 
     #[test]
@@ -376,26 +850,26 @@ mod tests {
     fn fcfs_blocks_at_head() {
         let queue = [q(0, 4, 100.0), q(1, 8, 10.0), q(2, 1, 10.0)];
         // 6 free: job0 starts (2 left), job1 blocks, job2 must NOT jump.
-        assert_eq!(fcfs(&queue, 6), vec![0]);
+        assert_eq!(pick(Policy::Fcfs, &queue, &[], 6, 0.0), vec![0]);
         // 16 free: everything starts.
-        assert_eq!(fcfs(&queue, 16), vec![0, 1, 2]);
-        assert_eq!(fcfs(&queue, 0), Vec::<usize>::new());
-        assert_eq!(fcfs(&[], 8), Vec::<usize>::new());
+        assert_eq!(pick(Policy::Fcfs, &queue, &[], 16, 0.0), vec![0, 1, 2]);
+        assert_eq!(pick(Policy::Fcfs, &queue, &[], 0, 0.0), Vec::<usize>::new());
+        assert_eq!(pick(Policy::Fcfs, &[], &[], 8, 0.0), Vec::<usize>::new());
     }
 
     #[test]
     fn sjf_prefers_short_jobs_but_reports_sorted_positions() {
         let queue = [q(0, 4, 100.0), q(1, 4, 10.0), q(2, 4, 50.0)];
         // 8 free: shortest two fit -> positions 1 and 2.
-        assert_eq!(sjf(&queue, 8), vec![1, 2]);
+        assert_eq!(pick(Policy::Sjf, &queue, &[], 8, 0.0), vec![1, 2]);
         // 4 free: only the shortest.
-        assert_eq!(sjf(&queue, 4), vec![1]);
+        assert_eq!(pick(Policy::Sjf, &queue, &[], 4, 0.0), vec![1]);
     }
 
     #[test]
     fn sjf_skips_wide_short_job_for_narrow_longer_one() {
         let queue = [q(0, 8, 10.0), q(1, 2, 20.0)];
-        assert_eq!(sjf(&queue, 4), vec![1]);
+        assert_eq!(pick(Policy::Sjf, &queue, &[], 4, 0.0), vec![1]);
     }
 
     #[test]
@@ -408,7 +882,7 @@ mod tests {
             q(1, 2, 60.0),  // fits now; 60 <= 100? finishes in time -> backfill
             q(2, 2, 500.0), // fits "now" only if spare nodes remain
         ];
-        let starts = easy(&queue, &running, 2, 0.0);
+        let starts = pick(Policy::EasyBackfill, &queue, &running, 2, 0.0);
         // Job1 backfills (finishes by shadow). Job2 then has 0 free nodes.
         assert_eq!(starts, vec![1]);
     }
@@ -419,17 +893,21 @@ mod tests {
         // extra = 0. A long 2-node job would delay the head (needs all 8)…
         let running = [r(4, 100.0)];
         let queue = [q(0, 8, 10.0), q(1, 2, 1000.0)];
-        assert_eq!(easy(&queue, &running, 4, 0.0), Vec::<usize>::new());
+        let got = pick(Policy::EasyBackfill, &queue, &running, 4, 0.0);
+        assert_eq!(got, Vec::<usize>::new());
         // …but if the head only needs 6, extra = (4+4)-6 = 2 spare nodes, so
         // the long 2-node job may run forever without delaying it.
         let queue = [q(0, 6, 10.0), q(1, 2, 1000.0)];
-        assert_eq!(easy(&queue, &running, 4, 0.0), vec![1]);
+        assert_eq!(
+            pick(Policy::EasyBackfill, &queue, &running, 4, 0.0),
+            vec![1]
+        );
     }
 
     #[test]
     fn easy_starts_head_when_it_fits() {
         let queue = [q(0, 2, 10.0), q(1, 2, 10.0)];
-        assert_eq!(easy(&queue, &[], 8, 0.0), vec![0, 1]);
+        assert_eq!(pick(Policy::EasyBackfill, &queue, &[], 8, 0.0), vec![0, 1]);
     }
 
     #[test]
@@ -438,50 +916,38 @@ mod tests {
         // Shadow = 50. A 30s short job backfills; a 60s one does not.
         let running = [r(4, 50.0)];
         let queue = [q(0, 6, 10.0), q(1, 3, 30.0), q(2, 3, 60.0)];
-        assert_eq!(easy(&queue, &running, 4, 0.0), vec![1]);
+        assert_eq!(
+            pick(Policy::EasyBackfill, &queue, &running, 4, 0.0),
+            vec![1]
+        );
+    }
+
+    #[test]
+    fn easy_overdue_finishers_cross_in_placement_order() {
+        // Three attempts overran their estimates (expected back at 30, 10
+        // and 20, all before now = 40), and one node is free. All three
+        // clamp to `now` and count in placement order: 1 + 1 + 4 nodes
+        // meet the head's 6 with none spare, so the long 1-node job may not
+        // backfill. Counting them by finish (4, then 2) would leave one.
+        let running = [r(1, 30.0), r(4, 10.0), r(2, 20.0)];
+        let queue = [q(0, 6, 10.0), q(1, 1, 1000.0)];
+        let got = pick(Policy::EasyBackfill, &queue, &running, 1, 40.0);
+        assert_eq!(got, Vec::<usize>::new());
+        assert_eq!(got, easy_reference(&queue, &running, 1, 40.0));
     }
 
     #[test]
     fn requeue_keeps_priority_order_and_is_stable() {
-        let mut queue = Vec::new();
-        requeue(
-            &mut queue,
-            QueuedJob {
-                priority: 10.0,
-                ..q(0, 1, 5.0)
-            },
-        );
-        requeue(
-            &mut queue,
-            QueuedJob {
-                priority: 30.0,
-                ..q(1, 1, 5.0)
-            },
-        );
-        requeue(
-            &mut queue,
-            QueuedJob {
-                priority: 20.0,
-                ..q(2, 1, 5.0)
-            },
-        );
-        // Equal priority inserts after the existing entry.
-        requeue(
-            &mut queue,
-            QueuedJob {
-                priority: 20.0,
-                ..q(3, 1, 5.0)
-            },
-        );
-        // A backoff-heavy retry lands at the back.
-        requeue(
-            &mut queue,
-            QueuedJob {
-                priority: 99.0,
-                ..q(4, 1, 5.0)
-            },
-        );
-        let order: Vec<usize> = queue.iter().map(|j| j.job_idx).collect();
+        let mut queue = WaitQueue::new();
+        for (i, priority) in [10.0, 30.0, 20.0, 20.0, 99.0].into_iter().enumerate() {
+            // The second 20.0 inserts after the existing one; the
+            // backoff-heavy 99.0 retry lands at the back.
+            queue.insert(QueuedJob {
+                priority,
+                ..q(i, 1, 5.0)
+            });
+        }
+        let order: Vec<usize> = flat(&queue).iter().map(|j| j.job_idx).collect();
         assert_eq!(order, vec![0, 2, 3, 1, 4]);
     }
 
@@ -490,17 +956,14 @@ mod tests {
         // Fresh arrivals pop in submit order, so sorted insert must reduce
         // to a plain push — this is what keeps fault-free runs with the
         // faulty event loop byte-identical to the plain loop.
-        let mut queue = Vec::new();
+        let mut queue = WaitQueue::new();
         for (i, p) in [1.0, 2.0, 2.0, 5.0].iter().enumerate() {
-            requeue(
-                &mut queue,
-                QueuedJob {
-                    priority: *p,
-                    ..q(i, 1, 5.0)
-                },
-            );
+            queue.insert(QueuedJob {
+                priority: *p,
+                ..q(i, 1, 5.0)
+            });
         }
-        let order: Vec<usize> = queue.iter().map(|j| j.job_idx).collect();
+        let order: Vec<usize> = flat(&queue).iter().map(|j| j.job_idx).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
@@ -508,7 +971,182 @@ mod tests {
     fn select_dispatches() {
         let queue = [q(0, 1, 5.0)];
         for p in Policy::ALL {
-            assert_eq!(select(p, &queue, &[], 4, 0.0), vec![0], "{p:?}");
+            assert_eq!(pick(p, &queue, &[], 4, 0.0), vec![0], "{p:?}");
+        }
+    }
+
+    #[test]
+    fn wait_queue_splits_and_merges_blocks() {
+        // Mid-queue inserts into full blocks split them; draining most of
+        // the queue merges and drops blocks; order and summaries hold.
+        let mut queue = WaitQueue::new();
+        let mut reference = Vec::new();
+        for i in 0..4 * BLOCK {
+            let job = QueuedJob {
+                priority: (i % 7) as f64,
+                ..q(i, 1 + i % 5, (i % 11) as f64)
+            };
+            queue.insert(job);
+            insert_reference(&mut reference, job);
+            queue.check();
+        }
+        assert!(queue.blocks.len() > 4);
+        assert_eq!(flat(&queue), reference);
+        while queue.len() > 3 {
+            let pos = queue.iter().nth(queue.len() / 3).map(|(p, _)| p).unwrap();
+            let at = indices(&queue, &[pos])[0];
+            assert_eq!(queue.remove(pos), reference.remove(at));
+            queue.check();
+        }
+        assert_eq!(flat(&queue), reference);
+        assert_eq!(queue.blocks.len(), 1);
+    }
+
+    /// Times from a coarse grid, so equal finishes, finishes at `now`, and
+    /// finishes before `now` are all common.
+    fn grid_time() -> impl Strategy<Value = f64> {
+        (0u32..16).prop_map(|t| f64::from(t) * 5.0)
+    }
+
+    /// Queue contents as runs of similar jobs, so some blocks hold only
+    /// wide or only long jobs and the block skip test gets exercised.
+    /// Each run is `(jobs, min nodes, min estimate)`.
+    fn queue_runs() -> impl Strategy<Value = Vec<(usize, usize, u32)>> {
+        proptest::collection::vec((1usize..90, 1usize..10, 0u32..12), 1..6)
+    }
+
+    /// A running-set history: `(op, nodes, finish)` where op 0–2 pushes, 3
+    /// swap-removes, and 4 removes (positions taken modulo the length).
+    fn running_history() -> impl Strategy<Value = Vec<(u32, usize, f64)>> {
+        proptest::collection::vec((0u32..5, 1usize..6, grid_time()), 0..60)
+    }
+
+    /// Replays `history` on a [`RunningSet`] and a plain `Vec`.
+    fn replay_running(history: &[(u32, usize, f64)]) -> (RunningSet, Vec<RunningJob>) {
+        let mut set = RunningSet::new();
+        let mut reference = Vec::new();
+        for (i, &(op, nodes, finish)) in history.iter().enumerate() {
+            if op < 3 || reference.is_empty() {
+                let job = RunningJob {
+                    job_idx: i,
+                    nodes,
+                    expected_finish: finish,
+                };
+                set.push(job);
+                reference.push(job);
+            } else {
+                let pos = (nodes * 7 + i) % reference.len();
+                if op == 3 {
+                    assert_eq!(set.swap_remove(pos), reference.swap_remove(pos));
+                } else {
+                    assert_eq!(set.remove(pos), reference.remove(pos));
+                }
+            }
+        }
+        (set, reference)
+    }
+
+    proptest! {
+        #[test]
+        fn running_index_orders_like_a_stable_sort(history in running_history()) {
+            let (set, reference) = replay_running(&history);
+            set.check();
+            prop_assert_eq!(set.as_slice(), &reference[..]);
+            let mut sorted = reference.clone();
+            sorted.sort_by(|a, b| a.expected_finish.partial_cmp(&b.expected_finish).unwrap());
+            let indexed: Vec<(f64, usize)> =
+                set.by_finish.iter().map(|&(t, _, n)| (t, n)).collect();
+            let want: Vec<(f64, usize)> =
+                sorted.iter().map(|r| (r.expected_finish, r.nodes)).collect();
+            prop_assert_eq!(indexed, want);
+        }
+
+        #[test]
+        fn easy_matches_the_slice_reference(
+            runs in queue_runs(),
+            ties in proptest::collection::vec(0u32..4, 1..400),
+            history in running_history(),
+            free in 0usize..12,
+            now in grid_time(),
+            removals in proptest::collection::vec(0usize..1000, 0..40),
+        ) {
+            // Priorities step per run with small ties inside, so inserts
+            // land mid-queue and among equal priorities.
+            let mut queue = WaitQueue::new();
+            let mut reference = Vec::new();
+            let mut i = 0;
+            for (run, &(count, nodes, est)) in runs.iter().enumerate() {
+                for k in 0..count {
+                    let tie = ties[i % ties.len()];
+                    let job = QueuedJob {
+                        job_idx: i,
+                        nodes: nodes + k % 3,
+                        estimate: f64::from(est) * 5.0 + f64::from(tie),
+                        priority: (run as f64) * 3.0 - f64::from(tie),
+                    };
+                    queue.insert(job);
+                    insert_reference(&mut reference, job);
+                    i += 1;
+                }
+            }
+            for r in removals {
+                if reference.is_empty() {
+                    break;
+                }
+                let at = r % reference.len();
+                let pos = queue.iter().nth(at).map(|(p, _)| p).unwrap();
+                prop_assert_eq!(queue.remove(pos), reference.remove(at));
+            }
+            queue.check();
+            prop_assert_eq!(flat(&queue), reference.clone());
+            let (running, running_ref) = replay_running(&history);
+            let got = indices(&queue, &select(Policy::EasyBackfill, &queue, &running, free, now));
+            let want = if reference.is_empty() || free == 0 {
+                Vec::new()
+            } else {
+                easy_reference(&reference, &running_ref, free, now)
+            };
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn wait_queue_insert_and_remove_match_a_sorted_vec(
+            ops in proptest::collection::vec((0u32..4, 0u32..8, 1usize..20, 0usize..1000), 1..700),
+        ) {
+            // op 0–1 inserts (priorities from a tiny grid, so ties are the
+            // rule), 2 removes one job, 3 removes a spread of jobs back to
+            // front, as the engine does after a pass.
+            let mut queue = WaitQueue::new();
+            let mut reference = Vec::new();
+            for (i, &(op, priority, nodes, at)) in ops.iter().enumerate() {
+                if op < 2 || reference.is_empty() {
+                    let job = QueuedJob {
+                        job_idx: i,
+                        nodes,
+                        estimate: f64::from(priority) + nodes as f64,
+                        priority: f64::from(priority),
+                    };
+                    queue.insert(job);
+                    insert_reference(&mut reference, job);
+                } else {
+                    let step = if op == 2 { reference.len() } else { 1 + at % 5 };
+                    let picked: Vec<usize> = (at % reference.len()..reference.len())
+                        .step_by(step)
+                        .collect();
+                    let positions: Vec<QueuePos> = queue
+                        .iter()
+                        .enumerate()
+                        .filter(|(k, _)| picked.contains(k))
+                        .map(|(_, (p, _))| p)
+                        .collect();
+                    for (&pos, &k) in positions.iter().zip(&picked).rev() {
+                        prop_assert_eq!(queue.remove(pos), reference.remove(k));
+                    }
+                }
+                queue.check();
+                prop_assert_eq!(queue.len(), reference.len());
+            }
+            prop_assert_eq!(flat(&queue), reference);
         }
     }
 }
