@@ -383,9 +383,13 @@ mod tests {
     #[test]
     fn real_emitted_summary_round_trips() {
         // The comparator must parse what `summary::BenchSummary` emits.
-        let mut s = crate::summary::BenchSummary::new("E22", true);
-        s.push("jit_speedup_vs_fused/dot", 2.25, "x");
-        let json = serde_json::to_string_pretty(&s.finish()).unwrap();
+        let metric = crate::summary::Metric {
+            name: "jit_speedup_vs_fused/dot".to_owned(),
+            value: 2.25,
+            unit: "x",
+        };
+        let s = crate::summary::BenchSummary::new(&crate::STUDIES[21], true, vec![metric]);
+        let json = serde_json::to_string_pretty(&s).unwrap();
         let r = diff_summaries(&json, &json, &DiffOptions::default()).unwrap();
         assert_eq!(r.failures(), 0);
         assert_eq!(r.rows.len(), 1);

@@ -1039,7 +1039,7 @@ mod tests {
 
     #[test]
     fn lint_study_outputs_render() {
-        let study = ex().e15_lint_detection(8).unwrap();
+        let study = rcr_core::lintstudy::run_study(MASTER_SEED, 8).unwrap();
         let fig = e15_figure(&study);
         assert!(fig.contains("<svg") && fig.contains("W001"));
         let t = e15_table(&study);
@@ -1065,8 +1065,7 @@ mod tests {
 
     #[test]
     fn perf_tables_and_figures_render() {
-        let e = ex();
-        let gaps = e.e5_perf_gap(&GapConfig::quick()).unwrap();
+        let gaps = rcr_core::perfgap::measure_gaps(&GapConfig::quick()).unwrap();
         let fig = e5_figure(&gaps);
         assert!(fig.contains("matmul"));
         assert!(fig.contains(Tier::VmFused.name()), "fused tier in legend");
@@ -1091,7 +1090,7 @@ mod tests {
         assert!(fig.contains("<svg") && fig.contains("mc-pi"));
         assert!(fig.contains(Tier::VmJit.name()), "JIT series in figure");
 
-        let curves = e.e6_scaling(&GapConfig::quick()).unwrap();
+        let curves = rcr_core::perfgap::measure_scaling(&GapConfig::quick()).unwrap();
         let fig = e6_figure(&curves);
         assert!(fig.contains("ideal"));
         assert!(
@@ -1103,7 +1102,7 @@ mod tests {
 
     #[test]
     fn jit_study_outputs_render() {
-        let rows = ex().e22_jitstudy(&GapConfig::quick()).unwrap();
+        let rows = rcr_core::jitstudy::run(&GapConfig::quick()).unwrap();
         let t = e22_table(&rows);
         assert_eq!(t.n_rows(), 4);
         let ascii = t.render_ascii();
@@ -1116,7 +1115,7 @@ mod tests {
 
     #[test]
     fn sched_ablation_outputs_render() {
-        let points = ex().e17_sched_ablation(&GapConfig::quick()).unwrap();
+        let points = rcr_core::schedstudy::run(&GapConfig::quick()).unwrap();
         let t = e17_table(&points);
         assert_eq!(t.n_rows(), 12);
         let ascii = t.render_ascii();
@@ -1129,7 +1128,7 @@ mod tests {
 
     #[test]
     fn memory_sweep_outputs_render() {
-        let points = ex().e18_memory(&GapConfig::quick()).unwrap();
+        let points = rcr_core::memstudy::run(&GapConfig::quick()).unwrap();
         let t = e18_table(&points);
         assert_eq!(t.n_rows(), 96);
         let ascii = t.render_ascii();
@@ -1142,7 +1141,7 @@ mod tests {
 
     #[test]
     fn serve_study_outputs_render() {
-        let points = ex().e19_serve(&GapConfig::quick()).unwrap();
+        let points = rcr_core::servestudy::run(MASTER_SEED, &GapConfig::quick()).unwrap();
         let t = e19_table(&points);
         assert_eq!(t.n_rows(), 9);
         let ascii = t.render_ascii();
@@ -1155,7 +1154,7 @@ mod tests {
 
     #[test]
     fn absint_study_outputs_render() {
-        let study = ex().e20_absint(6).unwrap();
+        let study = rcr_core::absintstudy::run_study(MASTER_SEED, 6).unwrap();
         let t = e20_table(&study);
         assert_eq!(t.n_rows(), 5);
         let ascii = t.render_ascii();
@@ -1178,7 +1177,7 @@ mod tests {
 
     #[test]
     fn columnar_study_outputs_render() {
-        let points = ex().e21_colstudy(&GapConfig::quick()).unwrap();
+        let points = rcr_core::colstudy::run(MASTER_SEED, &GapConfig::quick()).unwrap();
         let t = e21_table(&points);
         assert_eq!(t.n_rows(), 6);
         let ascii = t.render_ascii();
@@ -1191,7 +1190,7 @@ mod tests {
 
     #[test]
     fn sim_study_outputs_render() {
-        let points = ex().e23_simstudy(&GapConfig::quick()).unwrap();
+        let points = rcr_core::simstudy::run(MASTER_SEED, &GapConfig::quick()).unwrap();
         // Two quick sizes × two arms.
         let t = e23_table(&points);
         assert_eq!(t.n_rows(), 4);

@@ -10,13 +10,14 @@
 use serde::Serialize;
 
 use rcr_core::colstudy::ColPoint;
-use rcr_core::experiments::INDEX;
 use rcr_core::jitstudy::JitGapRow;
 use rcr_core::memstudy::MemPoint;
 use rcr_core::perfgap::GapClosure;
 use rcr_core::schedstudy::SchedPoint;
 use rcr_core::servestudy::ServePoint;
 use rcr_core::simstudy::SimPoint;
+
+use crate::studies::Study;
 
 /// The machine a summary was measured on, plus the tuning environment
 /// variables that change the numbers.
@@ -81,128 +82,131 @@ pub struct BenchSummary {
 }
 
 impl BenchSummary {
-    /// Starts an empty summary for experiment `id`, taking its artifact
-    /// and title from [`INDEX`].
-    ///
-    /// # Panics
-    /// When `id` is not an [`INDEX`] entry.
-    pub fn new(id: &str, quick: bool) -> Self {
-        let info = INDEX
-            .iter()
-            .find(|i| i.id == id)
-            .unwrap_or_else(|| panic!("experiment `{id}` is not in INDEX"));
-        BenchSummary {
-            experiment: info.id.to_owned(),
-            artifact: info.artifact.to_owned(),
-            title: info.title.to_owned(),
-            quick,
-            host: HostInfo::capture(),
-            metrics: Vec::new(),
-            checksum: String::new(),
-        }
-    }
-
-    /// Appends one metric.
-    pub fn push(&mut self, name: impl Into<String>, value: f64, unit: &'static str) {
-        self.metrics.push(Metric {
-            name: name.into(),
-            value,
-            unit,
-        });
-    }
-
-    /// Seals the summary: computes the checksum over the metrics.
-    pub fn finish(mut self) -> Self {
-        let mut h = 0xBEAC_0000u64 ^ self.experiment.len() as u64;
-        for m in &self.metrics {
+    /// Seals `metrics` into a summary of `study`, with the checksum folded
+    /// over them.
+    pub fn new(study: &Study, quick: bool, metrics: Vec<Metric>) -> Self {
+        let mut h = 0xBEAC_0000u64 ^ study.id.len() as u64;
+        for m in &metrics {
             for b in m.name.bytes() {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
             }
             h = (h ^ m.value.to_bits()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         }
-        self.checksum = format!("{h:016x}");
-        self
+        BenchSummary {
+            experiment: study.id.to_owned(),
+            artifact: study.artifact.to_owned(),
+            title: study.title.to_owned(),
+            quick,
+            host: HostInfo::capture(),
+            metrics,
+            checksum: format!("{h:016x}"),
+        }
+    }
+}
+
+impl Metric {
+    fn new(name: impl Into<String>, value: f64, unit: &'static str) -> Self {
+        Metric {
+            name: name.into(),
+            value,
+            unit,
+        }
     }
 }
 
 /// E16 metrics: per (kernel, size), the fused-VM speedup and the fraction
 /// of the VM→native gap it closes.
-pub fn summarize_e16(quick: bool, rows: &[GapClosure]) -> BenchSummary {
-    let mut s = BenchSummary::new("E16", quick);
+pub fn summarize_e16(rows: &[GapClosure]) -> Vec<Metric> {
+    let mut s = Vec::new();
     for r in rows {
-        s.push(format!("speedup/{}/{}", r.kernel, r.size), r.speedup, "x");
-        s.push(
+        s.push(Metric::new(
+            format!("speedup/{}/{}", r.kernel, r.size),
+            r.speedup,
+            "x",
+        ));
+        s.push(Metric::new(
             format!("closure/{}/{}", r.kernel, r.size),
             r.closure_frac,
             "frac",
-        );
+        ));
     }
-    s.finish()
+    s
 }
 
 /// E17 metrics: per (workload, scheduler), the per-call cost.
-pub fn summarize_e17(quick: bool, rows: &[SchedPoint]) -> BenchSummary {
-    let mut s = BenchSummary::new("E17", quick);
+pub fn summarize_e17(rows: &[SchedPoint]) -> Vec<Metric> {
+    let mut s = Vec::new();
     for r in rows {
-        s.push(
+        s.push(Metric::new(
             format!("per_call_us/{}/{}", r.workload, r.scheduler),
             r.per_call_us,
             "us",
-        );
+        ));
     }
-    s.finish()
+    s
 }
 
 /// E18 metrics: per (kernel, tier), the DRAM-level effective bandwidth —
 /// the converged ceiling the figure is about.
-pub fn summarize_e18(quick: bool, rows: &[MemPoint]) -> BenchSummary {
-    let mut s = BenchSummary::new("E18", quick);
+pub fn summarize_e18(rows: &[MemPoint]) -> Vec<Metric> {
+    let mut s = Vec::new();
     for r in rows.iter().filter(|r| r.level == "DRAM") {
-        s.push(format!("dram_gbps/{}/{}", r.kernel, r.tier), r.gbps, "GB/s");
+        s.push(Metric::new(
+            format!("dram_gbps/{}/{}", r.kernel, r.tier),
+            r.gbps,
+            "GB/s",
+        ));
     }
-    s.finish()
+    s
 }
 
 /// E19 metrics: per (fault level, offered multiplier), sustained
 /// throughput and completed-job p99.
-pub fn summarize_e19(quick: bool, rows: &[ServePoint]) -> BenchSummary {
-    let mut s = BenchSummary::new("E19", quick);
+pub fn summarize_e19(rows: &[ServePoint]) -> Vec<Metric> {
+    let mut s = Vec::new();
     for r in rows {
-        s.push(
+        s.push(Metric::new(
             format!("sustained_jps/{}/{}x", r.fault_level, r.offered_multiplier),
             r.sustained_jps,
             "jobs/s",
-        );
-        s.push(
+        ));
+        s.push(Metric::new(
             format!("p99_ms/{}/{}x", r.fault_level, r.offered_multiplier),
             r.p99_ms,
             "ms",
-        );
+        ));
     }
-    s.finish()
+    s
 }
 
 /// E20 metrics: the false-positive rate and per-class detection rates.
-pub fn summarize_e20(quick: bool, study: &rcr_core::absintstudy::AbsintStudy) -> BenchSummary {
-    let mut s = BenchSummary::new("E20", quick);
-    s.push("false_positive_rate", study.false_positive_rate, "frac");
+pub fn summarize_e20(study: &rcr_core::absintstudy::AbsintStudy) -> Vec<Metric> {
+    let mut s = vec![Metric::new(
+        "false_positive_rate",
+        study.false_positive_rate,
+        "frac",
+    )];
     for c in &study.classes {
-        s.push(format!("detection/{}", c.class), c.detection_rate, "frac");
+        s.push(Metric::new(
+            format!("detection/{}", c.class),
+            c.detection_rate,
+            "frac",
+        ));
     }
-    s.finish()
+    s
 }
 
 /// E21 metrics: per (population size, tier), rows scanned per second,
 /// plus the per-size speedup of the best columnar tier over the row
 /// engine.
-pub fn summarize_e21(quick: bool, rows: &[ColPoint]) -> BenchSummary {
-    let mut s = BenchSummary::new("E21", quick);
+pub fn summarize_e21(rows: &[ColPoint]) -> Vec<Metric> {
+    let mut s = Vec::new();
     for r in rows {
-        s.push(
+        s.push(Metric::new(
             format!("rows_per_s/{}/{}", r.rows, r.tier),
             r.rows_per_s,
             "rows/s",
-        );
+        ));
     }
     let sizes: Vec<usize> = {
         let mut v: Vec<usize> = rows.iter().map(|r| r.rows).collect();
@@ -215,9 +219,9 @@ pub fn summarize_e21(quick: bool, rows: &[ColPoint]) -> BenchSummary {
             .filter(|r| r.rows == n && r.tier != "row")
             .map(|r| r.speedup_vs_row)
             .fold(0.0f64, f64::max);
-        s.push(format!("best_speedup_vs_row/{n}"), best, "x");
+        s.push(Metric::new(format!("best_speedup_vs_row/{n}"), best, "x"));
     }
-    s.finish()
+    s
 }
 
 /// E22 metrics: per kernel, the JIT speedups and how much of the
@@ -226,26 +230,26 @@ pub fn summarize_e21(quick: bool, rows: &[ColPoint]) -> BenchSummary {
 /// Metric names deliberately omit the problem size so a `--smoke` run's
 /// summary stays structurally comparable (`bench-diff --structural`) to a
 /// committed full-size one — the `quick` flag records which sizes ran.
-pub fn summarize_e22(quick: bool, rows: &[JitGapRow]) -> BenchSummary {
-    let mut s = BenchSummary::new("E22", quick);
+pub fn summarize_e22(rows: &[JitGapRow]) -> Vec<Metric> {
+    let mut s = Vec::new();
     for r in rows {
-        s.push(
+        s.push(Metric::new(
             format!("jit_speedup_vs_fused/{}", r.kernel),
             r.jit_speedup_vs_fused,
             "x",
-        );
-        s.push(
+        ));
+        s.push(Metric::new(
             format!("jit_speedup_vs_interp/{}", r.kernel),
             r.jit_speedup_vs_interp,
             "x",
-        );
-        s.push(
+        ));
+        s.push(Metric::new(
             format!("remaining_gap_closed/{}", r.kernel),
             r.remaining_gap_closed,
             "frac",
-        );
+        ));
     }
-    s.finish()
+    s
 }
 
 /// E23 metrics: per (federation tier, arm), simulated events per second
@@ -255,8 +259,8 @@ pub fn summarize_e22(quick: bool, rows: &[JitGapRow]) -> BenchSummary {
 /// `large`) rather than by node count, so a `--smoke` run's summary
 /// stays structurally comparable (`bench-diff --structural`) to a
 /// committed full-size one — the `quick` flag records which sizes ran.
-pub fn summarize_e23(quick: bool, rows: &[SimPoint]) -> BenchSummary {
-    let mut s = BenchSummary::new("E23", quick);
+pub fn summarize_e23(rows: &[SimPoint]) -> Vec<Metric> {
+    let mut s = Vec::new();
     let mut sizes: Vec<usize> = rows.iter().map(|r| r.nodes).collect();
     sizes.dedup();
     for r in rows {
@@ -266,79 +270,34 @@ pub fn summarize_e23(quick: bool, rows: &[SimPoint]) -> BenchSummary {
             Some(i) => format!("size{i}"),
             None => unreachable!("every row's size is in the dedup list"),
         };
-        s.push(
+        s.push(Metric::new(
             format!("events_per_s/{tier}/{}", r.arm),
             r.events_per_s,
             "events/s",
-        );
-        s.push(
+        ));
+        s.push(Metric::new(
             format!("speedup_vs_heap/{tier}/{}", r.arm),
             r.speedup_vs_heap,
             "x",
-        );
+        ));
     }
-    s.finish()
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::studies::STUDIES;
 
     #[test]
     fn checksum_tracks_metrics() {
-        let mut a = BenchSummary::new("E21", true);
-        a.push("m", 1.5, "x");
-        let a = a.finish();
-        let mut b = BenchSummary::new("E21", true);
-        b.push("m", 1.5, "x");
-        let b = b.finish();
+        let e21 = STUDIES[20];
+        let a = BenchSummary::new(&e21, true, vec![Metric::new("m", 1.5, "x")]);
+        let b = BenchSummary::new(&e21, true, vec![Metric::new("m", 1.5, "x")]);
         assert_eq!(a.checksum, b.checksum);
-        let mut c = BenchSummary::new("E21", true);
-        c.push("m", 2.5, "x");
-        let c = c.finish();
+        let c = BenchSummary::new(&e21, true, vec![Metric::new("m", 2.5, "x")]);
         assert_ne!(a.checksum, c.checksum);
         assert_eq!(a.checksum.len(), 16);
-    }
-
-    #[test]
-    fn summary_headers_match_the_experiment_index() {
-        use rcr_core::absintstudy::{AbsintStudy, FactDensity};
-        let absint = AbsintStudy {
-            n_clean: 0,
-            clean_with_findings: 0,
-            false_positive_rate: 0.0,
-            classes: Vec::new(),
-            density: FactDensity {
-                n_scripts: 0,
-                n_functions: 0,
-                finite_cost_functions: 0,
-                finite_cost_fraction: 0.0,
-                float_array_proofs: 0,
-                main_vars: 0,
-                typed_main_vars: 0,
-                typed_main_var_fraction: 0.0,
-                finite_program_cost: 0,
-            },
-            admission: Vec::new(),
-        };
-        let summaries = [
-            summarize_e16(true, &[]),
-            summarize_e17(true, &[]),
-            summarize_e18(true, &[]),
-            summarize_e19(true, &[]),
-            summarize_e20(true, &absint),
-            summarize_e21(true, &[]),
-            summarize_e22(true, &[]),
-            summarize_e23(true, &[]),
-        ];
-        for (s, n) in summaries.iter().zip(16..) {
-            let info = &INDEX[n - 1];
-            assert_eq!(info.id, format!("E{n}"));
-            assert_eq!(
-                (s.experiment.as_str(), s.artifact.as_str(), s.title.as_str()),
-                (info.id, info.artifact, info.title)
-            );
-        }
     }
 
     #[test]
@@ -363,18 +322,13 @@ mod tests {
                 verified: true,
             },
         ];
-        let s = summarize_e21(true, &rows);
-        assert!(s
-            .metrics
-            .iter()
-            .any(|m| m.name == "rows_per_s/1000/columnar"));
+        let s = summarize_e21(&rows);
+        assert!(s.iter().any(|m| m.name == "rows_per_s/1000/columnar"));
         let best = s
-            .metrics
             .iter()
             .find(|m| m.name == "best_speedup_vs_row/1000")
             .expect("speedup metric");
         assert!((best.value - 10.0).abs() < 1e-12);
-        assert!(!s.checksum.is_empty());
     }
 
     #[test]
@@ -393,13 +347,13 @@ mod tests {
             jit_speedup_vs_interp: 10.0,
             remaining_gap_closed: 0.5,
         };
-        let s = summarize_e22(true, &[row("dot"), row("matmul")]);
-        let names: Vec<&str> = s.metrics.iter().map(|m| m.name.as_str()).collect();
+        let s = summarize_e22(&[row("dot"), row("matmul")]);
+        let names: Vec<&str> = s.iter().map(|m| m.name.as_str()).collect();
         assert!(names.contains(&"jit_speedup_vs_fused/dot"), "{names:?}");
         assert!(names.contains(&"remaining_gap_closed/matmul"), "{names:?}");
         // Size-free: quick and full runs must align structurally.
         assert!(names.iter().all(|n| !n.contains("n=")), "{names:?}");
-        assert_eq!(s.metrics.len(), 6);
+        assert_eq!(s.len(), 6);
     }
 
     #[test]
@@ -424,8 +378,8 @@ mod tests {
             point(10_240, "serial-heap", 1.0),
             point(10_240, "windowed-parallel", 3.5),
         ];
-        let s = summarize_e23(true, &rows);
-        let names: Vec<&str> = s.metrics.iter().map(|m| m.name.as_str()).collect();
+        let s = summarize_e23(&rows);
+        let names: Vec<&str> = s.iter().map(|m| m.name.as_str()).collect();
         assert!(
             names.contains(&"events_per_s/small/serial-heap"),
             "{names:?}"
@@ -436,6 +390,6 @@ mod tests {
         );
         // Size-free: quick and full sweeps must align structurally.
         assert!(names.iter().all(|n| !n.contains("10240")), "{names:?}");
-        assert_eq!(s.metrics.len(), 8);
+        assert_eq!(s.len(), 8);
     }
 }

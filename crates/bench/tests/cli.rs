@@ -35,3 +35,24 @@ fn unknown_id_is_rejected_before_any_experiment_runs() {
     assert!(!stdout.contains("== E1"), "E1 ran first:\n{stdout}");
     assert!(written.is_empty(), "artifacts written: {written:?}");
 }
+
+#[test]
+fn bench_diff_rejects_tolerances_that_disable_or_break_the_gate() {
+    let summary = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_E22.json");
+    let bench_diff = |tol: &str| {
+        Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(["bench-diff", summary, summary, "--tol", tol])
+            .output()
+            .expect("run reproduce")
+    };
+    assert_eq!(bench_diff("0.05").status.code(), Some(0), "valid --tol");
+    for tol in ["inf", "-inf", "NaN", "-1", "-0.01", "lots"] {
+        let run = bench_diff(tol);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "--tol {tol}: {stderr}");
+        assert!(
+            stderr.contains("usage: reproduce bench-diff"),
+            "--tol {tol}: {stderr}"
+        );
+    }
+}

@@ -10,7 +10,6 @@ use rcr_stats::multiplicity::Correction;
 use rcr_stats::table::ContingencyTable;
 use rcr_stats::tests::{fisher_exact_2x2, mann_whitney_u, two_proportion_z};
 use rcr_survey::cohort::Cohort;
-use rcr_survey::columnar::ColumnarCohort;
 
 use crate::{Error, Result};
 
@@ -82,27 +81,6 @@ pub fn compare_multi_choice(
     shifts_from_counts(counts_b, n_b, counts_a, n_a)
 }
 
-/// Columnar variant of [`compare_multi_choice`]: identical rows (the
-/// columnar engine reproduces the row engine's counts exactly, and the
-/// inference below is a pure function of the counts).
-///
-/// # Errors
-/// Same conditions as [`compare_multi_choice`].
-pub fn compare_multi_choice_columnar(
-    before: &ColumnarCohort,
-    after: &ColumnarCohort,
-    question: &str,
-) -> Result<Vec<ItemShift>> {
-    let (counts_b, n_b) = before.multi_choice_counts(question)?;
-    let (counts_a, n_a) = after.multi_choice_counts(question)?;
-    if n_b == 0 || n_a == 0 {
-        return Err(Error::Stats(format!(
-            "question `{question}` has no answers in one cohort"
-        )));
-    }
-    shifts_from_counts(counts_b, n_b, counts_a, n_a)
-}
-
 /// Compares a single-choice question between two cohorts (per-option rows
 /// with the same machinery; the denominator is answers, not selections).
 ///
@@ -125,13 +103,8 @@ pub fn compare_single_choice(
 
 /// Builds the per-item shift table straight from `(option, count)` pairs
 /// and answered denominators — the shared back half of every comparison in
-/// this module. Public so alternative tabulation engines (notably the
-/// columnar one) can feed their counts through the identical inference
-/// path: equal counts in, bitwise-equal tables out.
-///
-/// # Errors
-/// Statistics errors (degenerate proportions, empty batteries).
-pub fn shifts_from_counts(
+/// this module.
+fn shifts_from_counts(
     counts_b: Vec<(String, u64)>,
     n_b: u64,
     counts_a: Vec<(String, u64)>,
@@ -455,94 +428,31 @@ pub fn gpu_by_field(cohort: &Cohort) -> Result<Vec<FieldAdoption>> {
         if n_in == 0 || n_out == 0 {
             continue; // field absent from this cohort
         }
-        push_field_row(&mut rows, &mut raw, field, gpu_in, n_in, gpu_out, n_out)?;
+        let table = ContingencyTable::two_by_two(
+            gpu_in as f64,
+            (n_in - gpu_in) as f64,
+            gpu_out as f64,
+            (n_out - gpu_out) as f64,
+        )
+        .map_err(|e| Error::Stats(e.to_string()))?;
+        let fisher = fisher_exact_2x2(&table)?;
+        rows.push(FieldAdoption {
+            field: field.to_owned(),
+            gpu_users: gpu_in,
+            n_field: n_in,
+            share: gpu_in as f64 / n_in as f64,
+            ci: interval_pair(wilson(gpu_in, n_in, CI_LEVEL)?),
+            odds_ratio: fisher.statistic,
+            p_raw: fisher.p_value,
+            p_adj: f64::NAN,
+        });
+        raw.push(fisher.p_value);
     }
     let adj = Correction::BenjaminiHochberg.apply(&raw)?;
     for (row, p) in rows.iter_mut().zip(adj) {
         row.p_adj = p;
     }
     Ok(rows)
-}
-
-/// Columnar variant of [`gpu_by_field`]: the four cell counts per field
-/// come from bitmap intersections instead of per-respondent scans, and
-/// the identical inference runs on them (equal counts ⇒ bitwise-equal
-/// rows).
-///
-/// # Errors
-/// Survey errors; statistics errors on degenerate tables.
-pub fn gpu_by_field_columnar(cohort: &ColumnarCohort) -> Result<Vec<FieldAdoption>> {
-    use rcr_survey::canonical as q;
-    use rcr_survey::query::Filter;
-
-    // Rows that answered the parallelism item: that column's validity bits.
-    let par_idx = cohort
-        .schema()
-        .questions()
-        .iter()
-        .position(|question| question.id == q::Q_PARALLELISM)
-        .ok_or_else(|| Error::Survey(format!("cohort lacks `{}`", q::Q_PARALLELISM)))?;
-    let answered = &cohort.columns()[par_idx].valid;
-    let gpu = cohort.select(&Filter::selected(q::Q_PARALLELISM, "gpu"));
-    let (n_total, gpu_total) = (answered.count_ones(), gpu.count_ones());
-
-    let mut rows = Vec::new();
-    let mut raw = Vec::new();
-    for field in q::FIELDS {
-        let in_field = cohort.select(&Filter::choice_is(q::Q_FIELD, field));
-        let mut n_in_bits = in_field.clone();
-        n_in_bits.and_assign(answered);
-        let n_in = n_in_bits.count_ones();
-        let mut gpu_in_bits = in_field;
-        gpu_in_bits.and_assign(&gpu);
-        let gpu_in = gpu_in_bits.count_ones();
-        // `gpu` implies `answered`, so the out-of-field cells are the
-        // complements within the answered universe.
-        let n_out = n_total - n_in;
-        let gpu_out = gpu_total - gpu_in;
-        if n_in == 0 || n_out == 0 {
-            continue; // field absent from this cohort
-        }
-        push_field_row(&mut rows, &mut raw, field, gpu_in, n_in, gpu_out, n_out)?;
-    }
-    let adj = Correction::BenjaminiHochberg.apply(&raw)?;
-    for (row, p) in rows.iter_mut().zip(adj) {
-        row.p_adj = p;
-    }
-    Ok(rows)
-}
-
-/// Shared tail of the two `gpu_by_field` engines: Fisher's exact test and
-/// the Wilson interval on one field's 2×2 cells.
-fn push_field_row(
-    rows: &mut Vec<FieldAdoption>,
-    raw: &mut Vec<f64>,
-    field: &str,
-    gpu_in: u64,
-    n_in: u64,
-    gpu_out: u64,
-    n_out: u64,
-) -> Result<()> {
-    let table = ContingencyTable::two_by_two(
-        gpu_in as f64,
-        (n_in - gpu_in) as f64,
-        gpu_out as f64,
-        (n_out - gpu_out) as f64,
-    )
-    .map_err(|e| Error::Stats(e.to_string()))?;
-    let fisher = fisher_exact_2x2(&table)?;
-    rows.push(FieldAdoption {
-        field: field.to_owned(),
-        gpu_users: gpu_in,
-        n_field: n_in,
-        share: gpu_in as f64 / n_in as f64,
-        ci: interval_pair(wilson(gpu_in, n_in, CI_LEVEL)?),
-        odds_ratio: fisher.statistic,
-        p_raw: fisher.p_value,
-        p_adj: f64::NAN,
-    });
-    raw.push(fisher.p_value);
-    Ok(())
 }
 
 /// Supplementary analysis: does programming experience correlate with
@@ -786,48 +696,6 @@ mod tests {
         // correlation should be weak-to-negative, not strongly positive.
         let s = experience_vs_practices(&after).unwrap();
         assert!(s.spearman_rho < 0.3, "rho = {}", s.spearman_rho);
-    }
-
-    #[test]
-    fn columnar_gpu_by_field_is_bitwise_identical() {
-        let (_, after) = cohorts();
-        let cc = rcr_survey::columnar::ColumnarCohort::from_cohort(&after).unwrap();
-        let row = gpu_by_field(&after).unwrap();
-        let col = gpu_by_field_columnar(&cc).unwrap();
-        assert_eq!(row.len(), col.len());
-        for (a, b) in row.iter().zip(&col) {
-            assert_eq!(a.field, b.field);
-            assert_eq!(a.gpu_users, b.gpu_users);
-            assert_eq!(a.n_field, b.n_field);
-            assert_eq!(a.share.to_bits(), b.share.to_bits());
-            assert_eq!(a.odds_ratio.to_bits(), b.odds_ratio.to_bits());
-            assert_eq!(a.p_raw.to_bits(), b.p_raw.to_bits());
-            assert_eq!(a.p_adj.to_bits(), b.p_adj.to_bits());
-        }
-    }
-
-    #[test]
-    fn columnar_multi_choice_shift_is_bitwise_identical() {
-        let (before, after) = cohorts();
-        let cb = rcr_survey::columnar::ColumnarCohort::from_cohort(&before).unwrap();
-        let ca = rcr_survey::columnar::ColumnarCohort::from_cohort(&after).unwrap();
-        for item in [q::Q_LANGS, q::Q_PARALLELISM, q::Q_PRACTICES] {
-            let row = compare_multi_choice(&before, &after, item).unwrap();
-            let col = compare_multi_choice_columnar(&cb, &ca, item).unwrap();
-            assert_eq!(row.len(), col.len());
-            for (a, b) in row.iter().zip(&col) {
-                assert_eq!(a.item, b.item);
-                assert_eq!(
-                    (a.count_before, a.count_after),
-                    (b.count_before, b.count_after)
-                );
-                assert_eq!((a.n_before, a.n_after), (b.n_before, b.n_after));
-                assert_eq!(a.z.to_bits(), b.z.to_bits());
-                assert_eq!(a.p_raw.to_bits(), b.p_raw.to_bits());
-                assert_eq!(a.p_adj.to_bits(), b.p_adj.to_bits());
-                assert_eq!(a.cohens_h.to_bits(), b.cohens_h.to_bits());
-            }
-        }
     }
 
     #[test]

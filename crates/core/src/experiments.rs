@@ -1,11 +1,7 @@
-//! The experiment registry: one driver per table/figure (E1–E23), all
-//! deterministic from one master seed. `DESIGN.md` §4 is the index; the
-//! `reproduce` binary calls these drivers.
-//!
-//! The survey tabulation experiments (E1–E4, E7, E8) each have a
-//! `*_columnar` companion built on [`rcr_survey::columnar`]; the
-//! companions are bitwise identical to the row drivers (a test below
-//! gates this) and E21 measures the speed difference at scale.
+//! The drivers that tie each survey question or cluster workload to the
+//! master seed: E1–E4, E7–E10 and E12–E14. The `rcr_bench::STUDIES` table
+//! maps every experiment id E1–E23 to its run function; the performance
+//! studies call their own modules directly.
 
 use serde::Serialize;
 
@@ -15,159 +11,16 @@ use rcr_cluster::sched::Policy;
 use rcr_cluster::sim::Simulator;
 use rcr_cluster::workload::{generate_checked, WorkloadSpec};
 use rcr_survey::cohort::Cohort;
-use rcr_survey::columnar::{ColumnarCohort, Engine};
 use rcr_synth::calibration::Wave;
 use rcr_synth::generator::Generator;
 
-use crate::absintstudy::AbsintStudy;
-use crate::colstudy::ColPoint;
 use crate::compare::{
-    compare_likert_battery, compare_multi_choice, compare_multi_choice_columnar,
-    distribution_shift, gpu_by_field, gpu_by_field_columnar, DistributionShift, FieldAdoption,
-    ItemShift, LikertShift,
-};
-use crate::jitstudy::JitGapRow;
-use crate::lintstudy::{run_study, LintStudy};
-use crate::memstudy::MemPoint;
-use crate::perfgap::{
-    gap_closure, measure_gaps, measure_scaling, GapClosure, GapConfig, KernelGap, ScalingCurve,
+    compare_likert_battery, compare_multi_choice, distribution_shift, gpu_by_field,
+    DistributionShift, FieldAdoption, ItemShift, LikertShift,
 };
 use crate::questionnaire as q;
-use crate::schedstudy::SchedPoint;
-use crate::servestudy::ServePoint;
-use crate::simstudy::SimPoint;
-use crate::trend::{language_trends, language_trends_columnar, LanguageTrend};
+use crate::trend::{language_trends, LanguageTrend};
 use crate::Result;
-
-/// Metadata for one experiment.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ExperimentInfo {
-    /// Identifier, e.g. `"E2"`.
-    pub id: &'static str,
-    /// What the paper artifact is, e.g. `"Table 2"`.
-    pub artifact: &'static str,
-    /// Short title.
-    pub title: &'static str,
-}
-
-/// The experiment index (matches `DESIGN.md` §4).
-pub const INDEX: [ExperimentInfo; 23] = [
-    ExperimentInfo {
-        id: "E1",
-        artifact: "Table 1",
-        title: "Respondent demographics (2024)",
-    },
-    ExperimentInfo {
-        id: "E2",
-        artifact: "Table 2",
-        title: "Language usage 2011 vs 2024",
-    },
-    ExperimentInfo {
-        id: "E3",
-        artifact: "Figure 1",
-        title: "Language adoption trends",
-    },
-    ExperimentInfo {
-        id: "E4",
-        artifact: "Table 3",
-        title: "Parallelism usage shift",
-    },
-    ExperimentInfo {
-        id: "E5",
-        artifact: "Figure 2",
-        title: "Interpreted-vs-native performance gap",
-    },
-    ExperimentInfo {
-        id: "E6",
-        artifact: "Figure 3",
-        title: "Thread scaling and Amdahl fits",
-    },
-    ExperimentInfo {
-        id: "E7",
-        artifact: "Table 4",
-        title: "Software-engineering practice adoption",
-    },
-    ExperimentInfo {
-        id: "E8",
-        artifact: "Table 5",
-        title: "GPU adoption by field (2024)",
-    },
-    ExperimentInfo {
-        id: "E9",
-        artifact: "Figure 4",
-        title: "Scheduler policy wait-time CDF",
-    },
-    ExperimentInfo {
-        id: "E10",
-        artifact: "Figure 5",
-        title: "Utilization and wait vs offered load",
-    },
-    ExperimentInfo {
-        id: "E11",
-        artifact: "Table 6",
-        title: "Interpreter-tier ablation",
-    },
-    ExperimentInfo {
-        id: "E12",
-        artifact: "Figure 6",
-        title: "Pain-point Likert shift",
-    },
-    ExperimentInfo {
-        id: "E13",
-        artifact: "Table 7",
-        title: "Coded free-text obstacles",
-    },
-    ExperimentInfo {
-        id: "E14",
-        artifact: "Figure 7",
-        title: "Resilience: goodput and wasted work vs node MTBF",
-    },
-    ExperimentInfo {
-        id: "E15",
-        artifact: "Table 8",
-        title: "Static-analysis defect detection (seeded injection)",
-    },
-    ExperimentInfo {
-        id: "E16",
-        artifact: "Table 9",
-        title: "Superinstruction VM gap closure",
-    },
-    ExperimentInfo {
-        id: "E17",
-        artifact: "Figure 8",
-        title: "Scheduler ablation: spawn-per-call vs persistent work-stealing",
-    },
-    ExperimentInfo {
-        id: "E18",
-        artifact: "Figure 9",
-        title: "Memory-hierarchy sweep: kernel tiers from L1 to DRAM",
-    },
-    ExperimentInfo {
-        id: "E19",
-        artifact: "Figure 10",
-        title: "Serving under overload: shedding, deadlines, and fault recovery",
-    },
-    ExperimentInfo {
-        id: "E20",
-        artifact: "Table 10",
-        title: "Abstract interpretation: proofs, defect detection, static admission",
-    },
-    ExperimentInfo {
-        id: "E21",
-        artifact: "Figure 11",
-        title: "Columnar analytics: rows/sec vs population size and tier",
-    },
-    ExperimentInfo {
-        id: "E22",
-        artifact: "Table 11",
-        title: "Register-IR JIT: closing the remaining fused-VM-to-native gap",
-    },
-    ExperimentInfo {
-        id: "E23",
-        artifact: "Figure 12",
-        title: "Cluster DES at scale: serial and windowed-parallel replay",
-    },
-];
 
 /// E1 output: a field × career-stage count grid.
 #[derive(Debug, Clone, Serialize)]
@@ -267,18 +120,6 @@ impl Experiments {
         )
     }
 
-    /// The same two cohorts in columnar form, emitted straight into columns
-    /// by the streaming generator — identical data to
-    /// [`Experiments::cohorts`] (same RNG streams, same draws), no
-    /// intermediate `Response` structs.
-    pub fn columnar_cohorts(&self) -> (ColumnarCohort, ColumnarCohort) {
-        let g = Generator::new(self.seed);
-        (
-            g.columnar_cohort(Wave::Y2011, Wave::Y2011.default_n()),
-            g.columnar_cohort(Wave::Y2024, Wave::Y2024.default_n()),
-        )
-    }
-
     /// E1: demographics grid of the 2024 cohort.
     ///
     /// # Errors
@@ -306,24 +147,6 @@ impl Experiments {
         })
     }
 
-    /// E1 on the columnar engine: the field × stage grid is one
-    /// [`Engine::crosstab`] call instead of a per-respondent scan.
-    /// Bitwise identical to [`Experiments::e1_demographics`].
-    ///
-    /// # Errors
-    /// Survey errors (none expected on generated cohorts).
-    pub fn e1_demographics_columnar(&self) -> Result<Demographics> {
-        let (_, after) = self.columnar_cohorts();
-        let ct = Engine::serial().crosstab(&after, q::Q_FIELD, q::Q_STAGE, None)?;
-        Ok(Demographics {
-            fields: ct.row_options,
-            stages: ct.col_options,
-            counts: ct.counts,
-            n: after.n_rows(),
-            mean_completion: after.mean_completion(),
-        })
-    }
-
     /// E2: language usage shift table.
     ///
     /// # Errors
@@ -331,15 +154,6 @@ impl Experiments {
     pub fn e2_language_shift(&self) -> Result<Vec<ItemShift>> {
         let (before, after) = self.cohorts();
         compare_multi_choice(&before, &after, q::Q_LANGS)
-    }
-
-    /// E2 on the columnar engine (bitwise identical).
-    ///
-    /// # Errors
-    /// Survey/statistics errors.
-    pub fn e2_language_shift_columnar(&self) -> Result<Vec<ItemShift>> {
-        let (before, after) = self.columnar_cohorts();
-        compare_multi_choice_columnar(&before, &after, q::Q_LANGS)
     }
 
     /// E2 companion: omnibus shift of the primary-language distribution.
@@ -364,20 +178,6 @@ impl Experiments {
         )
     }
 
-    /// E3 on the columnar engine: the yearly cohorts stream straight into
-    /// columns and the shares come from bitmap popcounts (bitwise
-    /// identical).
-    ///
-    /// # Errors
-    /// Statistics errors.
-    pub fn e3_language_trends_columnar(&self) -> Result<Vec<LanguageTrend>> {
-        language_trends_columnar(
-            self.seed,
-            400,
-            &["python", "matlab", "fortran", "r", "julia"],
-        )
-    }
-
     /// E4: parallelism usage shift table.
     ///
     /// # Errors
@@ -385,31 +185,6 @@ impl Experiments {
     pub fn e4_parallelism_shift(&self) -> Result<Vec<ItemShift>> {
         let (before, after) = self.cohorts();
         compare_multi_choice(&before, &after, q::Q_PARALLELISM)
-    }
-
-    /// E4 on the columnar engine (bitwise identical).
-    ///
-    /// # Errors
-    /// Survey/statistics errors.
-    pub fn e4_parallelism_shift_columnar(&self) -> Result<Vec<ItemShift>> {
-        let (before, after) = self.columnar_cohorts();
-        compare_multi_choice_columnar(&before, &after, q::Q_PARALLELISM)
-    }
-
-    /// E5: the interpreted-vs-native performance gap.
-    ///
-    /// # Errors
-    /// Script / verification errors.
-    pub fn e5_perf_gap(&self, config: &GapConfig) -> Result<Vec<KernelGap>> {
-        measure_gaps(config)
-    }
-
-    /// E6: thread-scaling curves with Amdahl fits.
-    ///
-    /// # Errors
-    /// Statistics errors from the fits.
-    pub fn e6_scaling(&self, config: &GapConfig) -> Result<Vec<ScalingCurve>> {
-        measure_scaling(config)
     }
 
     /// E7: software-engineering practice shift table.
@@ -421,15 +196,6 @@ impl Experiments {
         compare_multi_choice(&before, &after, q::Q_PRACTICES)
     }
 
-    /// E7 on the columnar engine (bitwise identical).
-    ///
-    /// # Errors
-    /// Survey/statistics errors.
-    pub fn e7_practice_shift_columnar(&self) -> Result<Vec<ItemShift>> {
-        let (before, after) = self.columnar_cohorts();
-        compare_multi_choice_columnar(&before, &after, q::Q_PRACTICES)
-    }
-
     /// E8: GPU adoption by field in the 2024 cohort.
     ///
     /// # Errors
@@ -437,16 +203,6 @@ impl Experiments {
     pub fn e8_gpu_by_field(&self) -> Result<Vec<FieldAdoption>> {
         let (_, after) = self.cohorts();
         gpu_by_field(&after)
-    }
-
-    /// E8 on the columnar engine: the 2×2 cells per field come from
-    /// bitmap intersections (bitwise identical).
-    ///
-    /// # Errors
-    /// Survey/statistics errors.
-    pub fn e8_gpu_by_field_columnar(&self) -> Result<Vec<FieldAdoption>> {
-        let (_, after) = self.columnar_cohorts();
-        gpu_by_field_columnar(&after)
     }
 
     /// E9: scheduler policy comparison at the canonical workload.
@@ -512,15 +268,6 @@ impl Experiments {
             }
         }
         Ok(out)
-    }
-
-    /// E11: interpreter-tier ablation (reuses the E5 measurements; the
-    /// table reports script tiers against native-optimized).
-    ///
-    /// # Errors
-    /// Script / verification errors.
-    pub fn e11_interp_ablation(&self, config: &GapConfig) -> Result<Vec<KernelGap>> {
-        measure_gaps(config)
     }
 
     /// E12: pain-point Likert battery shift.
@@ -613,122 +360,12 @@ impl Experiments {
         }
         Ok(out)
     }
-
-    /// E15: the seeded defect-injection study — per-class detection rates
-    /// of the `rsc --check` analyzer, plus the false-positive probe on the
-    /// unmutated corpus.
-    ///
-    /// # Errors
-    /// Script errors when a generated clean script fails to parse, lint
-    /// non-silent, or fails to run.
-    pub fn e15_lint_detection(&self, n_per_class: usize) -> Result<LintStudy> {
-        run_study(self.seed, n_per_class)
-    }
-
-    /// E16: per-workload closure of the bytecode-VM → native gap by the
-    /// peephole / superinstruction pass (reuses the E5 measurement
-    /// machinery; every tier is verified before timing).
-    ///
-    /// # Errors
-    /// Script / verification errors.
-    pub fn e16_gap_closure(&self, config: &GapConfig) -> Result<Vec<GapClosure>> {
-        Ok(gap_closure(&measure_gaps(config)?))
-    }
-
-    /// E17: the scheduler ablation — spawn-per-call static and dynamic
-    /// runtimes vs the persistent work-stealing pool across regular,
-    /// irregular, fine-grained, and null workloads, with every arm's
-    /// output checksum verified against the serial reference.
-    ///
-    /// # Errors
-    /// [`crate::Error::VerificationFailed`] when an arm's result diverges.
-    pub fn e17_sched_ablation(&self, config: &GapConfig) -> Result<Vec<SchedPoint>> {
-        crate::schedstudy::run(config)
-    }
-
-    /// E18: the memory-hierarchy sweep — six kernels at L1/L2/LLC/DRAM
-    /// working-set sizes under serial, SIMD, parallel, and parallel+SIMD
-    /// tiers, reporting GFLOP/s and effective GB/s per cell. Every tier's
-    /// result is verified against the serial reference before timing.
-    ///
-    /// # Errors
-    /// [`crate::Error::VerificationFailed`] when a tier's result diverges.
-    pub fn e18_memory(&self, config: &GapConfig) -> Result<Vec<MemPoint>> {
-        crate::memstudy::run(config)
-    }
-
-    /// E19: the serving overload study — the `rcr-serve` execution service
-    /// offered 0.5×/1×/2× its measured saturation throughput under a fault
-    /// ablation (none/moderate/heavy), reporting sustained throughput,
-    /// latency percentiles, shed rate, retry success, and goodput/badput.
-    /// Each cell's robustness contract (closed outcome space, no hangs,
-    /// completed p99 within the deadline) is verified before its numbers
-    /// are reported.
-    ///
-    /// # Errors
-    /// [`crate::Error::VerificationFailed`] when a cell violates the
-    /// contract.
-    pub fn e19_serve(&self, config: &GapConfig) -> Result<Vec<ServePoint>> {
-        crate::servestudy::run(self.seed, config)
-    }
-
-    /// E20: the abstract-interpretation study — detection rates of the
-    /// interval/shape/cost defect classes (W008–W012), the false-positive
-    /// probe, proved-fact density over the clean corpus, and the
-    /// static-admission comparison on a mixed feasible/infeasible workload
-    /// (every cross-arm claim verified before the numbers are reported).
-    ///
-    /// # Errors
-    /// Script errors when a generated clean script misbehaves;
-    /// [`crate::Error::VerificationFailed`] when an admission arm breaks
-    /// its contract.
-    pub fn e20_absint(&self, n_per_class: usize) -> Result<AbsintStudy> {
-        crate::absintstudy::run_study(self.seed, n_per_class)
-    }
-
-    /// E21: the columnar analytics scaling study — the four-query survey
-    /// suite on populations from 10⁴ to 10⁷ respondents under the row
-    /// engine and the serial/parallel columnar tiers, every cell's
-    /// suite output verified against the row reference before timing (and
-    /// the row tier itself against the `Cohort` API at the smallest size).
-    ///
-    /// # Errors
-    /// [`crate::Error::VerificationFailed`] when a tier's result diverges.
-    pub fn e21_colstudy(&self, config: &GapConfig) -> Result<Vec<ColPoint>> {
-        crate::colstudy::run(self.seed, config)
-    }
-
-    /// E22: the register-IR JIT gap-closure study — the four perf-gap
-    /// kernels across the tree-walk, bytecode-VM, fused-VM, and JIT
-    /// tiers, every cell verified bit-identical across all four before
-    /// its timing is trusted, with a best-serial native reference as the
-    /// closure denominator.
-    ///
-    /// # Errors
-    /// Script errors and [`crate::Error::VerificationFailed`] when any
-    /// tier diverges by even one bit.
-    pub fn e22_jitstudy(&self, config: &GapConfig) -> Result<Vec<JitGapRow>> {
-        crate::jitstudy::run(config)
-    }
-
-    /// E23: the cluster-simulator scaling study — simulated events/sec on
-    /// SWF trace replays through sharded federations, under the
-    /// serial-heap and windowed-parallel arms, every arm's merged outcome
-    /// digest-verified against the serial-heap reference (and its
-    /// streamed replay against its materialized one) before any timing is
-    /// trusted.
-    ///
-    /// # Errors
-    /// [`crate::Error::VerificationFailed`] when any arm diverges by even
-    /// one bit; cluster errors on malformed traces.
-    pub fn e23_simstudy(&self, config: &GapConfig) -> Result<Vec<SimPoint>> {
-        crate::simstudy::run(self.seed, config)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perfgap::GapConfig;
     use crate::MASTER_SEED;
 
     fn ex() -> Experiments {
@@ -736,95 +373,8 @@ mod tests {
     }
 
     #[test]
-    fn index_lists_twenty_three_unique_ids() {
-        let mut ids: Vec<&str> = INDEX.iter().map(|i| i.id).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), 23);
-        assert_eq!(INDEX[0].id, "E1");
-        assert_eq!(INDEX[11].artifact, "Figure 6");
-        assert_eq!(INDEX[12].id, "E13");
-        assert_eq!(INDEX[13].id, "E14");
-        assert_eq!(INDEX[13].artifact, "Figure 7");
-        assert_eq!(INDEX[14].id, "E15");
-        assert_eq!(INDEX[14].artifact, "Table 8");
-        assert_eq!(INDEX[15].id, "E16");
-        assert_eq!(INDEX[15].artifact, "Table 9");
-        assert_eq!(INDEX[16].id, "E17");
-        assert_eq!(INDEX[16].artifact, "Figure 8");
-        assert_eq!(INDEX[17].id, "E18");
-        assert_eq!(INDEX[17].artifact, "Figure 9");
-        assert_eq!(INDEX[18].id, "E19");
-        assert_eq!(INDEX[18].artifact, "Figure 10");
-        assert_eq!(INDEX[19].id, "E20");
-        assert_eq!(INDEX[19].artifact, "Table 10");
-        assert_eq!(INDEX[20].id, "E21");
-        assert_eq!(INDEX[20].artifact, "Figure 11");
-        assert_eq!(INDEX[21].id, "E22");
-        assert_eq!(INDEX[21].artifact, "Table 11");
-        assert_eq!(INDEX[22].id, "E23");
-        assert_eq!(INDEX[22].artifact, "Figure 12");
-    }
-
-    /// The E21 acceptance gate: every columnar companion driver reproduces
-    /// its row driver bitwise at the canonical cohort sizes.
-    #[test]
-    fn columnar_drivers_match_row_drivers_bitwise() {
-        let e = ex();
-
-        let row = e.e1_demographics().unwrap();
-        let col = e.e1_demographics_columnar().unwrap();
-        assert_eq!(row.fields, col.fields);
-        assert_eq!(row.stages, col.stages);
-        assert_eq!(row.counts, col.counts);
-        assert_eq!(row.n, col.n);
-        assert_eq!(row.mean_completion.to_bits(), col.mean_completion.to_bits());
-
-        let shift_pairs = [
-            (
-                e.e2_language_shift().unwrap(),
-                e.e2_language_shift_columnar().unwrap(),
-            ),
-            (
-                e.e4_parallelism_shift().unwrap(),
-                e.e4_parallelism_shift_columnar().unwrap(),
-            ),
-            (
-                e.e7_practice_shift().unwrap(),
-                e.e7_practice_shift_columnar().unwrap(),
-            ),
-        ];
-        for (row, col) in &shift_pairs {
-            assert_eq!(row.len(), col.len());
-            for (a, b) in row.iter().zip(col) {
-                assert_eq!(a.item, b.item);
-                assert_eq!(
-                    (a.count_before, a.count_after),
-                    (b.count_before, b.count_after)
-                );
-                assert_eq!((a.n_before, a.n_after), (b.n_before, b.n_after));
-                assert_eq!(a.z.to_bits(), b.z.to_bits(), "{}", a.item);
-                assert_eq!(a.p_adj.to_bits(), b.p_adj.to_bits(), "{}", a.item);
-                assert_eq!(a.cohens_h.to_bits(), b.cohens_h.to_bits(), "{}", a.item);
-            }
-        }
-
-        let row = e.e8_gpu_by_field().unwrap();
-        let col = e.e8_gpu_by_field_columnar().unwrap();
-        assert_eq!(row.len(), col.len());
-        for (a, b) in row.iter().zip(&col) {
-            assert_eq!(a.field, b.field);
-            assert_eq!((a.gpu_users, a.n_field), (b.gpu_users, b.n_field));
-            assert_eq!(a.share.to_bits(), b.share.to_bits());
-            assert_eq!(a.p_raw.to_bits(), b.p_raw.to_bits());
-        }
-    }
-
-    /// E3's columnar companion is exercised at a reduced size in
-    /// `crate::trend`'s tests; here we only check the full-size driver
-    /// shape to keep the suite fast.
-    #[test]
     fn e21_quick_sweep_has_expected_shape() {
-        let points = ex().e21_colstudy(&GapConfig::quick()).unwrap();
+        let points = crate::colstudy::run(MASTER_SEED, &GapConfig::quick()).unwrap();
         assert_eq!(points.len(), 6);
         for p in &points {
             assert!(p.verified);
@@ -836,7 +386,7 @@ mod tests {
 
     #[test]
     fn e23_quick_sweep_verifies_every_arm() {
-        let points = ex().e23_simstudy(&GapConfig::quick()).unwrap();
+        let points = crate::simstudy::run(MASTER_SEED, &GapConfig::quick()).unwrap();
         assert_eq!(points.len(), 4);
         for cell in points.chunks(2) {
             assert!(cell
@@ -847,7 +397,7 @@ mod tests {
 
     #[test]
     fn e15_detects_structural_defects_with_no_false_positives() {
-        let study = ex().e15_lint_detection(10).unwrap();
+        let study = crate::lintstudy::run_study(MASTER_SEED, 10).unwrap();
         assert_eq!(study.clean_with_findings, 0);
         assert_eq!(study.classes.len(), 5);
         for c in &study.classes {

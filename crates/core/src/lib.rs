@@ -34,8 +34,12 @@
 //!   windowed-parallel DES arms replaying SWF traces on federations up
 //!   to 10k+ nodes and a million jobs, the parallel arm digest-verified
 //!   against the serial baseline before timing;
-//! * [`experiments`] — the registry mapping experiment ids E1–E23 to
-//!   drivers that regenerate each table and figure (see `DESIGN.md` §4).
+//! * [`experiments`] — the drivers that tie each survey question and
+//!   cluster workload to the master seed (E1–E4, E7–E10, E12–E14).
+//!
+//! The experiment table itself, mapping ids E1–E23 to the code that
+//! regenerates each table and figure, is `rcr_bench::STUDIES` (see
+//! `DESIGN.md` §4).
 //!
 //! ```
 //! use rcr_core::experiments::Experiments;

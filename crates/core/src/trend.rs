@@ -6,9 +6,7 @@ use serde::Serialize;
 use rcr_stats::ci::wilson;
 use rcr_stats::regression::ols;
 use rcr_stats::tests::cochran_armitage;
-use rcr_synth::trend::{
-    language_series, language_series_columnar, yearly_cohorts, yearly_columnar_cohorts,
-};
+use rcr_synth::trend::{language_series, yearly_cohorts};
 
 use crate::compare::CI_LEVEL;
 use crate::Result;
@@ -50,27 +48,8 @@ pub fn language_trends(
         .collect()
 }
 
-/// Columnar variant of [`language_trends`]: the yearly cohorts are built by
-/// the streaming columnar generator (identical RNG draws, no `Response`
-/// materialization) and tabulated by the columnar engine, then the same
-/// inference runs on the same counts — the output is bitwise identical.
-///
-/// # Errors
-/// Statistics errors (degenerate regression inputs).
-pub fn language_trends_columnar(
-    seed: u64,
-    n_per_year: usize,
-    languages: &[&str],
-) -> Result<Vec<LanguageTrend>> {
-    let points = yearly_columnar_cohorts(seed, n_per_year);
-    languages
-        .iter()
-        .map(|&lang| trend_from_series(lang, &language_series_columnar(&points, lang)))
-        .collect()
-}
-
-/// Shared inference tail: Wilson bands, the OLS slope, and the
-/// Cochran–Armitage trend test over one `(year, share, n)` series.
+/// Wilson bands, the OLS slope, and the Cochran–Armitage trend test over
+/// one `(year, share, n)` series.
 fn trend_from_series(lang: &str, series: &[(u16, f64, u64)]) -> Result<LanguageTrend> {
     let mut pts = Vec::with_capacity(series.len());
     let mut band = Vec::with_capacity(series.len());
@@ -150,23 +129,5 @@ mod tests {
         let a = language_trends(1, 80, &["python"]).unwrap();
         let b = language_trends(1, 80, &["python"]).unwrap();
         assert_eq!(a[0].points, b[0].points);
-    }
-
-    #[test]
-    fn columnar_trends_are_bitwise_identical() {
-        let row = language_trends(0xC0FFEE, 90, &["python", "fortran"]).unwrap();
-        let col = language_trends_columnar(0xC0FFEE, 90, &["python", "fortran"]).unwrap();
-        assert_eq!(row.len(), col.len());
-        for (a, b) in row.iter().zip(&col) {
-            assert_eq!(a.language, b.language);
-            assert_eq!(a.points.len(), b.points.len());
-            for ((ya, sa), (yb, sb)) in a.points.iter().zip(&b.points) {
-                assert_eq!(ya, yb);
-                assert_eq!(sa.to_bits(), sb.to_bits());
-            }
-            assert_eq!(a.slope_per_year.to_bits(), b.slope_per_year.to_bits());
-            assert_eq!(a.trend_z.to_bits(), b.trend_z.to_bits());
-            assert_eq!(a.trend_p.to_bits(), b.trend_p.to_bits());
-        }
     }
 }

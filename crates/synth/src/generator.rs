@@ -147,27 +147,6 @@ impl Generator {
         b.finish()
     }
 
-    /// Columnar variant of [`Generator::cohort_with`] (trend path): same
-    /// stream, same draws, columnar output.
-    pub(crate) fn columnar_cohort_with(
-        &self,
-        cal: &InterpolatedCalibration,
-        name: &str,
-        year: u16,
-        n: usize,
-    ) -> ColumnarCohort {
-        let stream = self.seed ^ (u64::from(year) << 32) ^ 0x5EED;
-        let mut rng = StdRng::seed_from_u64(stream);
-        let mut b = ColumnarBuilder::new(name, year, q::questionnaire())
-            .expect("canonical questionnaire fits columnar limits");
-        for _ in 0..n {
-            b.begin_row(None);
-            let mut sink = ColumnarSink { b: &mut b };
-            generate_one_interp_into(&mut rng, cal, &mut sink);
-        }
-        b.finish()
-    }
-
     /// Generates a cohort of `n` respondents from explicit calibration
     /// overrides (used by the trend interpolator).
     pub(crate) fn cohort_with(
@@ -533,8 +512,14 @@ mod tests {
         let cal = InterpolatedCalibration { t: 0.5 };
         let rows = g.cohort_with(&cal, "2017", 2017, 120);
         let via_rows = ColumnarCohort::from_cohort(&rows).unwrap();
-        let streamed = g.columnar_cohort_with(&cal, "2017", 2017, 120);
-        assert!(streamed.same_data(&via_rows));
+        // The same stream `cohort_with` draws from, fed to a columnar sink.
+        let mut rng = StdRng::seed_from_u64(9 ^ (2017u64 << 32) ^ 0x5EED);
+        let mut b = ColumnarBuilder::new("2017", 2017, q::questionnaire()).unwrap();
+        for _ in 0..120 {
+            b.begin_row(None);
+            generate_one_interp_into(&mut rng, &cal, &mut ColumnarSink { b: &mut b });
+        }
+        assert!(b.finish().same_data(&via_rows));
     }
 
     #[test]

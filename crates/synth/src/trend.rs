@@ -3,7 +3,6 @@
 use crate::calibration::Wave;
 use crate::generator::{Generator, InterpolatedCalibration};
 use rcr_survey::cohort::Cohort;
-use rcr_survey::columnar::ColumnarCohort;
 
 /// One point of a language-adoption trend series.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,51 +29,6 @@ pub fn yearly_cohorts(seed: u64, n_per_year: usize) -> Vec<TrendPoint> {
                 year,
                 cohort: g.cohort_with(&cal, &year.to_string(), year, n_per_year),
             }
-        })
-        .collect()
-}
-
-/// One point of the trend series in columnar form.
-#[derive(Debug, Clone)]
-pub struct ColumnarTrendPoint {
-    /// Calendar year.
-    pub year: u16,
-    /// Columnar cohort generated at this year's interpolated calibration.
-    pub cohort: ColumnarCohort,
-}
-
-/// Columnar variant of [`yearly_cohorts`]: identical RNG streams and
-/// draws, so the per-language counts match the row path exactly, but the
-/// cohorts are built by the streaming generator (no `Response` structs).
-pub fn yearly_columnar_cohorts(seed: u64, n_per_year: usize) -> Vec<ColumnarTrendPoint> {
-    let g = Generator::new(seed);
-    let (y0, y1) = (Wave::Y2011.year(), Wave::Y2024.year());
-    (y0..=y1)
-        .map(|year| {
-            let t = f64::from(year - y0) / f64::from(y1 - y0);
-            let cal = InterpolatedCalibration { t };
-            ColumnarTrendPoint {
-                year,
-                cohort: g.columnar_cohort_with(&cal, &year.to_string(), year, n_per_year),
-            }
-        })
-        .collect()
-}
-
-/// Columnar variant of [`language_series`], same output.
-///
-/// # Panics
-/// Panics if `points` were not built by [`yearly_columnar_cohorts`].
-pub fn language_series_columnar(points: &[ColumnarTrendPoint], lang: &str) -> Vec<(u16, f64, u64)> {
-    points
-        .iter()
-        .map(|p| {
-            let (count, n) = p
-                .cohort
-                .selected_count(rcr_survey::canonical::Q_LANGS, lang)
-                .expect("trend cohorts carry the language item");
-            let share = if n == 0 { 0.0 } else { count as f64 / n as f64 };
-            (p.year, share, n)
         })
         .collect()
 }
@@ -134,20 +88,5 @@ mod tests {
         let a = yearly_cohorts(5, 50);
         let b = yearly_cohorts(5, 50);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn columnar_series_matches_row_series_bitwise() {
-        let rows = yearly_cohorts(0xC0FFEE, 80);
-        let cols = yearly_columnar_cohorts(0xC0FFEE, 80);
-        for lang in ["python", "fortran", "r"] {
-            let a = language_series(&rows, lang);
-            let b = language_series_columnar(&cols, lang);
-            assert_eq!(a.len(), b.len());
-            for ((ya, sa, na), (yb, sb, nb)) in a.iter().zip(&b) {
-                assert_eq!((ya, na), (yb, nb));
-                assert_eq!(sa.to_bits(), sb.to_bits(), "{lang} share at {ya}");
-            }
-        }
     }
 }

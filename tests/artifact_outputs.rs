@@ -62,7 +62,7 @@ fn e3_json_shape() {
 
 #[test]
 fn e5_json_shape_quick() {
-    let gaps = ex().e5_perf_gap(&GapConfig::quick()).expect("E5");
+    let gaps = rcr_core::perfgap::measure_gaps(&GapConfig::quick()).expect("E5");
     let j = to_json(&gaps);
     let rows = j.as_array().expect("array");
     assert_eq!(rows.len(), 4);
@@ -86,7 +86,9 @@ fn e5_json_shape_quick() {
 
 #[test]
 fn e16_json_shape_quick() {
-    let closures = ex().e16_gap_closure(&GapConfig::quick()).expect("E16");
+    let closures = rcr_core::perfgap::gap_closure(
+        &rcr_core::perfgap::measure_gaps(&GapConfig::quick()).expect("E16"),
+    );
     let j = to_json(&closures);
     let rows = j.as_array().expect("array");
     assert_eq!(rows.len(), 4);
@@ -112,7 +114,7 @@ fn e16_json_shape_quick() {
 
 #[test]
 fn e17_json_shape_quick() {
-    let points = ex().e17_sched_ablation(&GapConfig::quick()).expect("E17");
+    let points = rcr_core::schedstudy::run(&GapConfig::quick()).expect("E17");
     let j = to_json(&points);
     let rows = j.as_array().expect("array");
     assert_eq!(rows.len(), 12, "4 workloads x 3 schedulers");
@@ -145,7 +147,7 @@ fn e17_json_shape_quick() {
 
 #[test]
 fn e18_json_shape_quick() {
-    let points = ex().e18_memory(&GapConfig::quick()).expect("E18");
+    let points = rcr_core::memstudy::run(&GapConfig::quick()).expect("E18");
     let j = to_json(&points);
     let rows = j.as_array().expect("array");
     assert_eq!(rows.len(), 96, "6 kernels x 4 levels x 4 tiers");

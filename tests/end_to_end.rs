@@ -1,7 +1,7 @@
 //! End-to-end integration: the full pipeline from synthetic cohorts through
 //! statistics to rendered artifacts, crossing every crate boundary.
 
-use rcr_core::experiments::{Experiments, INDEX};
+use rcr_core::experiments::Experiments;
 use rcr_core::perfgap::GapConfig;
 use rcr_core::{questionnaire as q, MASTER_SEED};
 
@@ -41,9 +41,8 @@ fn every_survey_experiment_produces_renderable_output() {
 
 #[test]
 fn performance_experiments_run_quick_and_render() {
-    let e = ex();
     let cfg = GapConfig::quick();
-    let gaps = e.e5_perf_gap(&cfg).expect("E5");
+    let gaps = rcr_core::perfgap::measure_gaps(&cfg).expect("E5");
     assert!(rcr_bench::render::e5_figure(&gaps).contains("</svg>"));
     let e11 = rcr_bench::render::e11_table(&gaps);
     assert_eq!(e11.n_rows(), 4);
@@ -51,13 +50,13 @@ fn performance_experiments_run_quick_and_render() {
         e11.render_ascii().contains("fused VM gap"),
         "E11 carries the fused-VM ablation column"
     );
-    let curves = e.e6_scaling(&cfg).expect("E6");
+    let curves = rcr_core::perfgap::measure_scaling(&cfg).expect("E6");
     assert!(rcr_bench::render::e6_figure(&curves).contains("ideal"));
-    let closures = e.e16_gap_closure(&cfg).expect("E16");
+    let closures = rcr_core::perfgap::gap_closure(&gaps);
     assert_eq!(closures.len(), 4);
     assert!(rcr_bench::render::e16_figure(&closures).contains("</svg>"));
     assert_eq!(rcr_bench::render::e16_table(&closures).n_rows(), 4);
-    let points = e.e17_sched_ablation(&cfg).expect("E17");
+    let points = rcr_core::schedstudy::run(&cfg).expect("E17");
     assert_eq!(points.len(), 12);
     assert!(rcr_bench::render::e17_figure(&points).contains("</svg>"));
     assert_eq!(rcr_bench::render::e17_table(&points).n_rows(), 12);
@@ -67,7 +66,7 @@ fn performance_experiments_run_quick_and_render() {
 fn serving_overload_study_runs_and_renders() {
     // The quick E19 sweep self-verifies the robustness contract (outcome
     // closure, p99 within deadline) in every cell before returning.
-    let points = ex().e19_serve(&GapConfig::quick()).expect("E19");
+    let points = rcr_core::servestudy::run(MASTER_SEED, &GapConfig::quick()).expect("E19");
     assert_eq!(points.len(), 9, "3 fault levels x 3 offered loads");
     assert!(rcr_bench::render::e19_figure(&points).contains("</svg>"));
     assert_eq!(rcr_bench::render::e19_table(&points).n_rows(), 9);
@@ -116,9 +115,9 @@ fn headline_findings_hold_end_to_end() {
 
 #[test]
 fn experiment_index_matches_drivers() {
-    // Every id in the index is runnable through the public API used by the
-    // reproduce binary (spot-check the mapping).
-    let ids: Vec<&str> = INDEX.iter().map(|i| i.id).collect();
+    // The study table the reproduce binary runs lists every experiment once,
+    // in id order.
+    let ids: Vec<&str> = rcr_bench::STUDIES.iter().map(|s| s.id).collect();
     assert_eq!(
         ids,
         vec![
@@ -135,9 +134,7 @@ fn sim_study_arms_agree_end_to_end() {
     // runs inside the driver; a quick sweep exercising it end-to-end is
     // the regression test that the windowed runner never drifts from the
     // serial baseline.
-    let points = ex()
-        .e23_simstudy(&rcr_core::perfgap::GapConfig::quick())
-        .expect("E23 quick");
+    let points = rcr_core::simstudy::run(MASTER_SEED, &GapConfig::quick()).expect("E23 quick");
     assert!(points.iter().all(|p| p.verified), "unverified arm");
     assert_eq!(points.len() % rcr_core::simstudy::ARMS.len(), 0);
     assert!(rcr_bench::render::e23_figure(&points).contains("</svg>"));
@@ -150,9 +147,7 @@ fn columnar_study_agrees_across_tiers_end_to_end() {
     // row reference) runs inside the driver; a quick sweep exercising it
     // end-to-end is the regression test that the columnar engine never
     // drifts from the row engine.
-    let points = ex()
-        .e21_colstudy(&rcr_core::perfgap::GapConfig::quick())
-        .expect("E21 quick");
+    let points = rcr_core::colstudy::run(MASTER_SEED, &GapConfig::quick()).expect("E21 quick");
     assert!(points.iter().all(|p| p.verified), "unverified cell");
     assert_eq!(points.len() % rcr_core::colstudy::TIERS.len(), 0);
     assert!(rcr_bench::render::e21_figure(&points).contains("</svg>"));
@@ -161,13 +156,13 @@ fn columnar_study_agrees_across_tiers_end_to_end() {
 
 #[test]
 fn lint_study_runs_and_renders() {
-    let study = ex().e15_lint_detection(8).expect("E15");
+    let study = rcr_core::lintstudy::run_study(MASTER_SEED, 8).expect("E15");
     assert_eq!(study.clean_with_findings, 0, "lint false positive");
     assert_eq!(study.classes.len(), 5);
     assert!(rcr_bench::render::e15_figure(&study).contains("</svg>"));
     assert_eq!(rcr_bench::render::e15_table(&study).n_rows(), 5);
     // Byte-identical reruns: the study is a function of the master seed.
-    let again = ex().e15_lint_detection(8).expect("E15 rerun");
+    let again = rcr_core::lintstudy::run_study(MASTER_SEED, 8).expect("E15 rerun");
     assert_eq!(
         serde_json::to_string(&study).expect("serializes"),
         serde_json::to_string(&again).expect("serializes")
