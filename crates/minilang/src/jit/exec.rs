@@ -27,7 +27,7 @@ use crate::builtins;
 use crate::bytecode::Compiled;
 use crate::error::{Error, Result};
 use crate::value::{binop, index_get, index_set, Value};
-use crate::vm::{bin_fast, Vm, MAX_FRAMES};
+use crate::vm::{bin_fast, Fuel, Vm, MAX_FRAMES};
 
 use super::ir::{Dst, GOpnd, Instr, JitFn, ParamLoc, Term};
 use super::Jit;
@@ -146,8 +146,7 @@ fn call_fn<const FUELED: bool>(
     args: Vec<Value>,
     caller_depth: usize,
     jit_depth: usize,
-    consumed: &mut u64,
-    budget: u64,
+    fuel: &mut Fuel<'_>,
 ) -> Result<Value> {
     if let Some(code) = jit.tier_up(compiled, fidx, &args) {
         if !code.guards_pass(&args) {
@@ -161,8 +160,7 @@ fn call_fn<const FUELED: bool>(
                 args,
                 caller_depth + 1,
                 jit_depth + 1,
-                consumed,
-                budget,
+                fuel,
             );
         }
     }
@@ -173,8 +171,7 @@ fn call_fn<const FUELED: bool>(
         args,
         caller_depth,
         jit_depth,
-        consumed,
-        budget,
+        fuel,
     )
 }
 
@@ -192,8 +189,7 @@ pub(crate) fn vm_call_hook<const FUELED: bool>(
     argc: usize,
     cur_depth: usize,
     jit_depth: usize,
-    consumed: &mut u64,
-    budget: u64,
+    fuel: &mut Fuel<'_>,
 ) -> Result<Option<Value>> {
     let Some(code) = jit.tier_up(compiled, fidx, vm.top_args(argc)) else {
         return Ok(None);
@@ -214,8 +210,7 @@ pub(crate) fn vm_call_hook<const FUELED: bool>(
         args,
         cur_depth + 1,
         jit_depth + 1,
-        consumed,
-        budget,
+        fuel,
     )
     .map(Some)
 }
@@ -232,8 +227,7 @@ pub(crate) fn exec_fn<const FUELED: bool>(
     args: Vec<Value>,
     cur_depth: usize,
     jit_depth: usize,
-    consumed: &mut u64,
-    budget: u64,
+    fuel: &mut Fuel<'_>,
 ) -> Result<Value> {
     jit.note_jit_call();
     let func = &compiled.funcs[code.fidx];
@@ -284,14 +278,12 @@ pub(crate) fn exec_fn<const FUELED: bool>(
         macro_rules! charge {
             () => {
                 if FUELED {
-                    *consumed += pending + u64::from(block.weight);
+                    let due = pending + u64::from(block.weight);
                     #[allow(unused_assignments)] // dead after a `Ret` charge
                     {
                         pending = 0;
                     }
-                    if *consumed > budget {
-                        return Err(Error::FuelExhausted { budget });
-                    }
+                    fuel.charge(due)?;
                 }
             };
         }
@@ -570,8 +562,7 @@ pub(crate) fn exec_fn<const FUELED: bool>(
                     argv,
                     cur_depth,
                     jit_depth,
-                    consumed,
-                    budget,
+                    fuel,
                 )?;
                 match d {
                     Dst::A(r) => match v {

@@ -22,6 +22,41 @@ struct Frame {
     base: usize,
 }
 
+/// A run's fuel: instructions `used` against the current `limit`, plus the
+/// optional refill hook that may raise the limit when a charge crosses it.
+/// One `&mut Fuel` is threaded through the VM loop and the JIT executor.
+pub(crate) struct Fuel<'a> {
+    used: u64,
+    limit: u64,
+    refill: Option<&'a mut dyn FnMut() -> Option<u64>>,
+}
+
+impl Fuel<'_> {
+    /// Charges `n` dispatches: one add and one compare on the hot path.
+    #[inline(always)]
+    pub(crate) fn charge(&mut self, n: u64) -> Result<()> {
+        self.used += n;
+        if self.used > self.limit {
+            return self.refuel();
+        }
+        Ok(())
+    }
+
+    /// The limit is crossed: ask the hook for more until the charge fits,
+    /// or fail with the total limit reached.
+    #[cold]
+    #[inline(never)]
+    fn refuel(&mut self) -> Result<()> {
+        while self.used > self.limit {
+            match self.refill.as_mut().and_then(|refill| refill()) {
+                Some(more) => self.limit = self.limit.saturating_add(more),
+                None => return Err(Error::FuelExhausted { budget: self.limit }),
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The bytecode virtual machine.
 #[derive(Default)]
 pub struct Vm {
@@ -90,13 +125,7 @@ impl Vm {
     /// # Errors
     /// [`Error::Runtime`] diagnostics.
     pub fn run(&mut self, compiled: &Compiled) -> Result<Value> {
-        // Monomorphize the dispatch loop: the unfueled VM carries no fuel
-        // branch at all, and the fueled VM charges whole basic blocks at
-        // control transfers instead of testing an `Option` per instruction.
-        match self.fuel_budget {
-            None => self.run_entry::<false>(compiled, None, 0),
-            Some(budget) => self.run_entry::<true>(compiled, None, budget),
-        }
+        self.start(compiled, None, None)
     }
 
     /// Executes a compiled program with the JIT tier enabled: hot
@@ -108,9 +137,47 @@ impl Vm {
     /// # Errors
     /// [`Error::Runtime`] diagnostics, identically to [`Vm::run`].
     pub fn run_jit(&mut self, compiled: &Compiled, jit: &crate::jit::Jit) -> Result<Value> {
-        match self.fuel_budget {
-            None => self.run_entry::<false>(compiled, Some(jit), 0),
-            Some(budget) => self.run_entry::<true>(compiled, Some(jit), budget),
+        self.start(compiled, Some(jit), None)
+    }
+
+    /// Executes like [`Vm::run`] (or [`Vm::run_jit`] when `jit` is given),
+    /// but treats the fuel budget as a first slice: when it is spent,
+    /// `refill` is asked for more. `Some(n)` raises the limit by `n` and
+    /// execution continues in place; `None` stops the run with
+    /// [`Error::FuelExhausted`] carrying the total limit reached. A run
+    /// whose grants add up to `q` therefore ends exactly as one run under
+    /// [`Vm::with_fuel`]`(q)` does. The hook is never called without a
+    /// fuel budget, and one that keeps granting `Some(0)` never returns.
+    ///
+    /// # Errors
+    /// As [`Vm::run`].
+    pub fn run_with_refill(
+        &mut self,
+        compiled: &Compiled,
+        jit: Option<&crate::jit::Jit>,
+        refill: &mut dyn FnMut() -> Option<u64>,
+    ) -> Result<Value> {
+        self.start(compiled, jit, Some(refill))
+    }
+
+    fn start(
+        &mut self,
+        compiled: &Compiled,
+        jit: Option<&crate::jit::Jit>,
+        refill: Option<&mut dyn FnMut() -> Option<u64>>,
+    ) -> Result<Value> {
+        let mut fuel = Fuel {
+            used: 0,
+            limit: self.fuel_budget.unwrap_or(0),
+            refill,
+        };
+        // Monomorphize the dispatch loop: the unfueled VM carries no fuel
+        // branch at all, and the fueled VM charges whole basic blocks at
+        // control transfers instead of testing an `Option` per instruction.
+        if self.fuel_budget.is_some() {
+            self.run_entry::<true>(compiled, jit, &mut fuel)
+        } else {
+            self.run_entry::<false>(compiled, jit, &mut fuel)
         }
     }
 
@@ -118,12 +185,11 @@ impl Vm {
         &mut self,
         compiled: &Compiled,
         jit: Option<&crate::jit::Jit>,
-        budget: u64,
+        fuel: &mut Fuel<'_>,
     ) -> Result<Value> {
         self.stack.clear();
         self.result = Value::Nil;
         self.mem_left = self.mem_budget.unwrap_or(0);
-        let mut consumed: u64 = 0;
         // `main` takes no arguments, so its entry guards always pass and
         // it can run jitted top to bottom.
         if let Some(j) = jit {
@@ -136,8 +202,7 @@ impl Vm {
                     Vec::new(),
                     1,
                     1,
-                    &mut consumed,
-                    budget,
+                    fuel,
                 )?;
                 return Ok(std::mem::take(&mut self.result));
             }
@@ -149,7 +214,7 @@ impl Vm {
             ip: 0,
             base: 0,
         };
-        self.run_loop::<FUELED>(compiled, jit, first, 0, 0, &mut consumed, budget)?;
+        self.run_loop::<FUELED>(compiled, jit, first, 0, 0, fuel)?;
         Ok(std::mem::take(&mut self.result))
     }
 
@@ -166,8 +231,7 @@ impl Vm {
         args: Vec<Value>,
         caller_depth: usize,
         jit_depth: usize,
-        consumed: &mut u64,
-        budget: u64,
+        fuel: &mut Fuel<'_>,
     ) -> Result<Value> {
         let callee = &compiled.funcs[fidx];
         debug_assert_eq!(
@@ -184,15 +248,7 @@ impl Vm {
             ip: 0,
             base: new_base,
         };
-        self.run_loop::<FUELED>(
-            compiled,
-            jit,
-            first,
-            caller_depth,
-            jit_depth,
-            consumed,
-            budget,
-        )
+        self.run_loop::<FUELED>(compiled, jit, first, caller_depth, jit_depth, fuel)
     }
 
     /// The frames loop shared by plain runs and JIT deopt sub-loops.
@@ -202,10 +258,10 @@ impl Vm {
     /// Fuel accounting (compiled out when `FUELED` is false): straight-
     /// line instructions are charged in one batch at every control
     /// transfer, counting `ip - run_start` dispatches. Total accounting
-    /// is exact — the error fires iff the program needs more than
-    /// `budget` instructions — but detection may overshoot by at most
+    /// is exact — the limit is crossed iff the program needs more than
+    /// `limit` instructions — but detection may overshoot by at most
     /// one basic block.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    #[allow(clippy::too_many_lines)]
     fn run_loop<const FUELED: bool>(
         &mut self,
         compiled: &Compiled,
@@ -213,8 +269,7 @@ impl Vm {
         first: Frame,
         depth_offset: usize,
         jit_depth: usize,
-        consumed: &mut u64,
-        budget: u64,
+        fuel: &mut Fuel<'_>,
     ) -> Result<Value> {
         let mut frames = vec![first];
         let mut run_start: usize = 0;
@@ -231,10 +286,7 @@ impl Vm {
             macro_rules! charge {
                 () => {
                     if FUELED {
-                        *consumed += (ip - run_start) as u64;
-                        if *consumed > budget {
-                            return Err(Error::FuelExhausted { budget });
-                        }
+                        fuel.charge((ip - run_start) as u64)?;
                     }
                 };
             }
@@ -344,8 +396,7 @@ impl Vm {
                                 argc as usize,
                                 depth_offset + frames.len(),
                                 jit_depth,
-                                consumed,
-                                budget,
+                                fuel,
                             )? {
                                 self.stack.push(v);
                                 if FUELED {

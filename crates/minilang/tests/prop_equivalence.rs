@@ -79,8 +79,23 @@ fn small_expr() -> impl Strategy<Value = String> {
 /// and bounded `for` loops above them — exercising control flow, scoping,
 /// and jump compilation rather than just expression evaluation.
 fn stmt_strategy() -> impl Strategy<Value = String> {
-    let assign = (0usize..4, small_expr()).prop_map(|(k, e)| format!("v{k} = {e};"));
-    assign.prop_recursive(3, 16, 3, |inner| {
+    stmts_over((0usize..4, small_expr()).prop_map(|(k, e)| format!("v{k} = {e};")))
+}
+
+/// Like [`stmt_strategy`], with leaves that also allocate: an array
+/// literal (16 bytes per element) or a `zeros` call (8 bytes per float),
+/// so memory quotas run out at generated points too.
+fn alloc_stmt_strategy() -> impl Strategy<Value = String> {
+    stmts_over(prop_oneof![
+        (0usize..4, small_expr()).prop_map(|(k, e)| format!("v{k} = {e};")),
+        (0usize..4, 0usize..4).prop_map(|(k, j)| format!("v{k} = v{k} + len([v{j}, {k}]);")),
+        (0usize..4, 1u32..6).prop_map(|(k, n)| format!("v{k} = v{k} - len(zeros({n}));")),
+    ])
+}
+
+/// `if`/`else` and bounded `for` loops over the statements `leaf` draws.
+fn stmts_over(leaf: impl Strategy<Value = String> + 'static) -> impl Strategy<Value = String> {
+    leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
             (
                 small_expr(),
@@ -103,6 +118,110 @@ fn stmt_strategy() -> impl Strategy<Value = String> {
 /// Wraps an expression in a program that declares the free variables.
 fn program(expr: &str, x: i32, y: i32, z: i32, f: bool) -> String {
     format!("let x = {x};\nlet y = {y};\nlet z = {z};\nlet f = {f};\n{expr}")
+}
+
+/// Runs `code` on a VM whose fuel arrives `slice` at a time through the
+/// refill hook, up to `quota` in total: the way a deadline-checking host
+/// runs it.
+fn run_in_slices(
+    code: &bytecode::Compiled,
+    jit: Option<&jit::Jit>,
+    slice: u64,
+    quota: u64,
+    memory: Option<u64>,
+) -> Result<Value, rcr_minilang::Error> {
+    let first = slice.min(quota);
+    let mut granted = first;
+    let mut refill = || {
+        let more = slice.min(quota - granted);
+        granted += more;
+        (more > 0).then_some(more)
+    };
+    vm::Vm::with_limits(Some(first), memory).run_with_refill(code, jit, &mut refill)
+}
+
+/// Compares results through their display form, with NaN normalized, and
+/// errors exactly.
+fn key(r: Result<Value, rcr_minilang::Error>) -> Result<String, rcr_minilang::Error> {
+    r.map(|v| match v {
+        Value::Num(n) if n.is_nan() => "NaN".to_owned(),
+        v => v.to_string(),
+    })
+}
+
+/// Compiles `src` the three ways the tiers run it: plain bytecode, the
+/// fused bytecode, and a JIT engine over the fused bytecode.
+fn tiers(src: &str) -> (bytecode::Compiled, bytecode::Compiled, jit::Jit) {
+    let program = parser::parse(src).expect("test programs parse");
+    let compiled = bytecode::compile(&program).expect("test programs compile");
+    let facts = absint::analyze(&program).facts;
+    let fused =
+        peephole::optimize_with_facts(&compiled, peephole::Options::default(), Some(&facts));
+    let engine = jit::Jit::new(&fused, jit::JitConfig::default(), Some(&facts));
+    (compiled, fused, engine)
+}
+
+#[test]
+fn a_stopped_refill_ends_the_run_within_one_slice() {
+    // A hook that stops after `k` grants ends the run at the first block
+    // boundary past `(k + 1) · s` fuel: a runaway loop reports exactly that
+    // total limit after exactly `k + 1` questions, and a program needing
+    // `need` fuel finishes iff `(k + 1) · s >= need`. So once a host's
+    // hook sees its deadline pass, at most one more slice (plus the block
+    // in flight) runs, whatever the wall clock does.
+    let runaway = "fn f(x) { return x + 1; } let v = 0; while true { v = f(v); }";
+    let finite = "fn f(x) { return x + 1; } let v = 0; for i in range(0, 40) { v = f(v); } v";
+    let (plain, fused, engine) = tiers(runaway);
+    let (fplain, ffused, fengine) = tiers(finite);
+    // The least fuel each tier needs for `finite` in one run.
+    let need = |code: &bytecode::Compiled, jit: Option<&jit::Jit>| {
+        (0..10_000)
+            .find(|&q| {
+                let mut vm = vm::Vm::with_fuel(q);
+                match jit {
+                    Some(engine) => vm.run_jit(code, engine).is_ok(),
+                    None => vm.run(code).is_ok(),
+                }
+            })
+            .expect("finite program finishes")
+    };
+    for (s, k) in [(1, 0), (1, 5), (7, 3), (50, 10), (64, 0), (1_000, 2)] {
+        let limit = (k + 1) * s;
+        let stop = |code: &bytecode::Compiled, jit: Option<&jit::Jit>| {
+            let mut asked = 0;
+            let mut refill = || {
+                asked += 1;
+                (asked <= k).then_some(s)
+            };
+            let result = vm::Vm::with_fuel(s).run_with_refill(code, jit, &mut refill);
+            (result, asked)
+        };
+        for (name, code, jit) in [
+            ("vm", &plain, None),
+            ("fused vm", &fused, None),
+            ("jit", &fused, Some(&engine)),
+        ] {
+            let (result, asked) = stop(code, jit);
+            assert_eq!(
+                result,
+                Err(rcr_minilang::Error::FuelExhausted { budget: limit }),
+                "{name}, s={s}, k={k}"
+            );
+            assert_eq!(asked, k + 1, "{name}, s={s}, k={k}");
+        }
+        for (name, code, jit) in [
+            ("vm", &fplain, None),
+            ("fused vm", &ffused, None),
+            ("jit", &ffused, Some(&fengine)),
+        ] {
+            let (result, _) = stop(code, jit);
+            assert_eq!(
+                result.is_ok(),
+                limit >= need(code, jit),
+                "{name}, s={s}, k={k}"
+            );
+        }
+    }
 }
 
 fn outcome(r: Result<Value, rcr_minilang::Error>) -> Result<Value, ()> {
@@ -222,15 +341,51 @@ proptest! {
         let fused =
             peephole::optimize_with_facts(&compiled, peephole::Options::default(), Some(&facts));
         let engine = jit::Jit::new(&fused, jit::JitConfig::default(), Some(&facts));
-        let key = |r: Result<Value, rcr_minilang::Error>| {
-            r.map(|v| match v {
-                Value::Num(n) if n.is_nan() => "NaN".to_owned(),
-                v => v.to_string(),
-            })
-        };
         let a = key(vm::Vm::with_fuel(budget).run(&fused));
         let b = key(vm::Vm::with_fuel(budget).run_jit(&fused, &engine));
         prop_assert_eq!(a, b, "fuel divergence at budget {} on: {}", budget, src);
+    }
+
+    #[test]
+    fn resumed_fuel_slices_end_like_one_run_at_the_quota(
+        stmts in proptest::collection::vec(alloc_stmt_strategy(), 1..5),
+        slice in 1u64..500,
+        quota in 0u64..800,
+        memory in 0u64..1_500,
+        limit_memory in any::<bool>(),
+    ) {
+        // Granting fuel `slice` at a time up to `quota` must end exactly
+        // like one run with `quota` fuel: the same value, or the same typed
+        // error (`FuelExhausted` reports the whole quota, and a memory quota
+        // runs out at the same allocation) — on every tier.
+        let src = format!(
+            "let v0 = 1;\nlet v1 = 2;\nlet v2 = 3;\nlet v3 = 4;\n{}\nv0 + v1 + v2 + v3",
+            stmts.join("\n")
+        );
+        let memory = limit_memory.then_some(memory);
+        let (plain, fused, engine) = tiers(&src);
+        for (name, code, jit) in [
+            ("vm", &plain, None),
+            ("fused vm", &fused, None),
+            ("jit", &fused, Some(&engine)),
+        ] {
+            let mut whole = vm::Vm::with_limits(Some(quota), memory);
+            let whole = key(match jit {
+                Some(engine) => whole.run_jit(code, engine),
+                None => whole.run(code),
+            });
+            let sliced = key(run_in_slices(code, jit, slice, quota, memory));
+            prop_assert_eq!(
+                whole,
+                sliced,
+                "{} diverges at slice {} quota {} memory {:?} on: {}",
+                name,
+                slice,
+                quota,
+                memory,
+                src
+            );
+        }
     }
 
     #[test]

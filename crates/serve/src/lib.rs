@@ -19,18 +19,18 @@
 //!   (`rcr_minilang::absint`) is consulted at submit time: a job whose
 //!   static fuel *lower bound* provably exceeds its tenant's quota is shed
 //!   as [`Rejected::StaticallyInfeasible`] before it costs a queue slot, a
-//!   compile, or an execution (cached per content hash).
+//!   compile, or an execution (memoized per content hash).
 //! * **Quotas.** Per-tenant fuel *and* memory budgets
 //!   ([`TenantQuota`]) are enforced on every attempt, with byte-identical
 //!   semantics across interpreter and VM tiers (tested in `rcr-minilang`).
-//! * **Deadlines.** Enforced in the queue, mid-execution via fuel-slicing
-//!   preemption, and on the finished-late path.
+//! * **Deadlines.** Enforced in the queue, mid-execution between resumed
+//!   fuel slices, and on the finished-late path.
 //! * **Retries.** Transient faults (injected via
 //!   `rcr_cluster::faults::FaultPlan`) retry with seeded exponential
 //!   backoff ([`backoff`]); deterministic failures never retry.
 //! * **Blast-radius control.** Per-tenant circuit breakers ([`breaker`])
-//!   stop a failing tenant from monopolising executors; worker panics are
-//!   contained by `rcr_kernels::pool::Pool::try_run`.
+//!   stop a failing tenant from monopolising executors; a panicking job is
+//!   caught by `catch_unwind` on its executor thread.
 //! * **Compile dedup.** A content-hash program cache with single-flight
 //!   dedup ([`cache`]) makes compile storms cost one compilation.
 //!

@@ -10,17 +10,22 @@
 //!             ▼                ▼               ▼            ▼               ▼
 //!       Statically-        Overloaded     CircuitOpen   Overloaded    attempt loop:
 //!       Infeasible                                                    fault? retry w/
-//!                                                                    backoff; fuel-
-//!                                                                    sliced deadline
+//!                                                                    backoff; deadline
+//!                                                                    checked per slice
 //!                                                                         │
 //!                                                                         ▼
 //!                                                              Completed | Failed(typed)
 //! ```
 //!
 //! The static-cost stage is the abstract interpreter's fuel lower bound
-//! (`rcr_minilang::absint`), cached per content hash: a job it sheds could
+//! (`rcr_minilang::absint`), memoized per content hash (at most
+//! [`ServiceConfig::program_cache_capacity`] entries): a job it sheds could
 //! only ever have ended in `FuelQuotaExceeded`, so rejecting it costs zero
 //! queue/compile/execute work ([`Rejected::StaticallyInfeasible`]).
+//!
+//! Each attempt runs on its executor thread as one VM run. The VM stops
+//! after every `fuel_slice` of fuel to let the executor check the
+//! deadline, then resumes in place, so a long job is never re-executed.
 //!
 //! # Why every handle resolves (liveness)
 //!
@@ -28,8 +33,10 @@
 //!
 //! * an executor pops it and `execute` always writes exactly one terminal
 //!   [`Outcome`] (the attempt loop is bounded by `max_attempts` and the
-//!   deadline, and worker panics are contained by
-//!   [`rcr_kernels::pool::Pool::try_run`]); or
+//!   deadline, and a panic inside an attempt is caught by
+//!   [`std::panic::catch_unwind`] on the executor thread and retried as a
+//!   transient crash, ending in [`JobError::WorkerCrash`] if every attempt
+//!   crashes); or
 //! * shutdown drains the queue and terminates every still-queued job with
 //!   [`JobError::Cancelled`].
 //!
@@ -39,14 +46,15 @@
 //! terminal outcome to its tenant's circuit breaker exactly once, which is
 //! what lets a half-open breaker always eventually learn its probe's fate.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use rcr_cluster::faults::{FaultPlan, InjectedFault};
-use rcr_kernels::pool::{self, Pool};
 use rcr_minilang::jit::{Jit, JitConfig};
 use rcr_minilang::vm::Vm;
 use rcr_minilang::Error;
@@ -78,12 +86,12 @@ impl Default for TenantQuota {
 }
 
 /// Service configuration. The [`Default`] is sized for tests and studies:
-/// small executor pool, sub-second deadlines, no injected faults.
+/// two executors, sub-second deadlines, no injected faults.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// One quota per tenant; a job's `tenant` index must be in range.
     pub tenants: Vec<TenantQuota>,
-    /// Executor threads (also the size of the shared worker pool).
+    /// Executor threads; each runs its jobs itself.
     pub executors: usize,
     /// Run-queue capacity; pushes beyond it are shed as `Overloaded`.
     pub queue_capacity: usize,
@@ -101,24 +109,26 @@ pub struct ServiceConfig {
     pub backoff: BackoffPolicy,
     /// Fault-injection plan applied per (job, attempt).
     pub faults: FaultPlan,
-    /// Initial fuel slice for deadline preemption. Execution runs in
-    /// doubling slices, re-checking the wall clock between slices, so a
-    /// smaller slice preempts runaway scripts sooner at the cost of
-    /// re-running short prefixes.
+    /// Fuel between deadline checks. A run pauses after each slice, checks
+    /// the wall clock, and resumes in place, so a smaller slice preempts a
+    /// runaway script sooner at the cost of more clock reads; no work is
+    /// ever re-run.
     pub fuel_slice: u64,
     /// Static admission: consult the abstract interpreter's fuel cost
     /// report at submit time and shed jobs whose static fuel *lower bound*
     /// already exceeds the tenant's quota
     /// ([`Rejected::StaticallyInfeasible`]) before any queue, compile, or
-    /// execute cost is paid. Analysis results are cached by content hash.
+    /// execute cost is paid. Analysis results are memoized by content
+    /// hash, within [`ServiceConfig::program_cache_capacity`].
     pub static_admission: bool,
     /// Bound on resolved program-cache entries (LRU eviction past it, see
-    /// [`crate::cache`]); keeps a long-lived service's memory flat even
-    /// when tenants submit an unbounded stream of distinct programs.
+    /// [`crate::cache`]) and on static-admission memo entries; keeps a
+    /// long-lived service's memory flat even when tenants submit an
+    /// unbounded stream of distinct programs.
     pub program_cache_capacity: usize,
     /// Execute jobs on the register-IR JIT tier. The JIT's fuel and
-    /// memory accounting is bit-identical to the fused VM, so slicing,
-    /// deadline preemption, and quota outcomes are unchanged; compiled
+    /// memory accounting is bit-identical to the fused VM, so deadline
+    /// checks, preemption, and quota outcomes are unchanged; compiled
     /// code is shared per artifact across workers and requests.
     pub jit: bool,
 }
@@ -321,9 +331,9 @@ struct Inner {
     queue: BoundedQueue<QueuedJob>,
     cache: ProgramCache,
     /// Static fuel lower bounds by content hash (`None` = unparseable, so
-    /// admission passes the job through for a typed compile error).
+    /// admission passes the job through for a typed compile error). Holds
+    /// at most the program cache's capacity; see [`Inner::static_fuel_lo`].
     static_costs: Mutex<HashMap<u64, Option<u64>>>,
-    pool: &'static Pool,
     shutting_down: AtomicBool,
     next_id: AtomicU64,
     metrics: MetricsCells,
@@ -348,7 +358,13 @@ impl Inner {
         // submitters of already-seen programs, and a duplicate analysis of
         // a brand-new program is deterministic, so last-write-wins is fine.
         let lo = program::static_fuel_lower_bound(source);
-        self.static_costs.lock().unwrap().insert(key, lo);
+        let mut memo = self.static_costs.lock().unwrap();
+        // A full memo starts over: entries are deterministic, so dropping
+        // them costs only a re-analysis, never a different decision.
+        if memo.len() >= self.cache.capacity() && !memo.contains_key(&key) {
+            memo.clear();
+        }
+        memo.insert(key, lo);
         lo
     }
 }
@@ -391,7 +407,6 @@ impl Service {
             queue: BoundedQueue::new(config.queue_capacity),
             cache: ProgramCache::with_capacity(config.program_cache_capacity),
             static_costs: Mutex::new(HashMap::new()),
-            pool: pool::sized(config.executors),
             shutting_down: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
             metrics: MetricsCells::default(),
@@ -553,10 +568,10 @@ impl Drop for Service {
     }
 }
 
-/// Injected worker crashes are deliberate panics that `Pool::try_run`
-/// always contains; letting the default panic hook print a backtrace for
-/// each would bury real output under thousands of lines in a fault-heavy
-/// study. This hook swallows exactly those panics (matched by their
+/// Injected worker crashes are deliberate panics that each attempt's
+/// `catch_unwind` always contains; letting the default panic hook print a
+/// backtrace for each would bury real output under thousands of lines in a
+/// fault-heavy study. This hook swallows exactly those panics (matched by their
 /// message prefix) and forwards everything else untouched.
 fn silence_injected_crash_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -676,7 +691,7 @@ fn run_job(inner: &Inner, job: &QueuedJob, quota: TenantQuota, deadline_at: Inst
     }
 }
 
-/// One attempt: fault decision, cached compile, pool execution with panic
+/// One attempt: fault decision, cached compile, execution with panic
 /// containment, slowdown injection, and the finished-late deadline check.
 fn run_attempt(
     inner: &Inner,
@@ -696,21 +711,24 @@ fn run_attempt(
         Err(e) => return Attempt::Fatal(JobError::Compile(e.to_string())),
     };
 
-    let crash = matches!(fault, Some(InjectedFault::WorkerCrash));
-    let slow = match fault {
-        Some(InjectedFault::SlowJob { factor }) => Some(factor),
-        _ => None,
-    };
-    let fuel_slice = inner.config.fuel_slice;
-    let jit = inner.config.jit;
-    let (job_id, attempt_no) = (job.id, attempt);
-    let result = inner.pool.try_run(move || {
+    // The attempt runs right here on the executor thread; `catch_unwind`
+    // is the containment boundary that turns a panic into a transient
+    // crash instead of killing the executor. Nothing inside is left
+    // half-updated by an unwind: the VM and its `Compiled` are private to
+    // the attempt, and the shared JIT cache only publishes finished code.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
         let started = Instant::now();
-        if crash {
-            panic!("injected worker crash (job {job_id}, attempt {attempt_no})");
+        if matches!(fault, Some(InjectedFault::WorkerCrash)) {
+            panic!("injected worker crash (job {}, attempt {attempt})", job.id);
         }
-        let result = run_sliced(&artifact, quota, deadline_at, fuel_slice, jit);
-        if let Some(factor) = slow {
+        let result = run_sliced(
+            &artifact,
+            quota,
+            deadline_at,
+            inner.config.fuel_slice,
+            inner.config.jit,
+        );
+        if let Some(InjectedFault::SlowJob { factor }) = fault {
             // A slow worker takes `factor`× the normal duration. Sleeping
             // past the deadline is pointless (the outcome is already
             // DeadlineExceeded), so the injected slowdown is capped there.
@@ -720,10 +738,10 @@ fn run_attempt(
             thread::sleep(extra.min(room));
         }
         result
-    });
+    }));
 
     match result {
-        Err(panic) => Attempt::Transient(Transient::Crash(panic.message)),
+        Err(payload) => Attempt::Transient(Transient::Crash(panic_message(payload.as_ref()))),
         Ok(Ok(_)) if Instant::now() > deadline_at => {
             // Finished, but too late to be useful: badput, not goodput.
             Attempt::Fatal(JobError::DeadlineExceeded)
@@ -733,59 +751,73 @@ fn run_attempt(
     }
 }
 
-/// Deadline preemption by iterative fuel deepening: run with a bounded
-/// fuel slice, and on `FuelExhausted` below the quota re-check the wall
-/// clock, double the slice, and re-run. A runaway script is preempted
-/// within one slice of fuel past the deadline; total re-executed work is
-/// at most 2× the final slice (geometric series).
+/// The message carried by a panic payload: `&str` and `String` payloads
+/// verbatim, anything else a placeholder.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Deadline preemption by resumable fuel slices: one run whose fuel limit
+/// starts at one slice and is raised by one slice at a time, each raise
+/// preceded by a wall-clock check. A runaway script is preempted within
+/// one slice of fuel past the deadline, and nothing is ever re-executed.
+/// When the tenant quota is used up the run ends as one run at the full
+/// quota would, so the quota check wins over a deadline reached at the
+/// same time.
 fn run_sliced(
     artifact: &ProgramArtifact,
     quota: TenantQuota,
     deadline_at: Instant,
-    first_slice: u64,
+    fuel_slice: u64,
     jit: bool,
 ) -> Result<String, JobError> {
     let fuel_quota = quota.fuel.max(1);
-    let mut slice = first_slice.clamp(1, fuel_quota);
-    loop {
-        let compiled = artifact.instantiate();
-        let mut vm = Vm::with_limits(Some(slice), Some(quota.memory));
-        // The JIT charges fuel and memory bit-identically to the fused VM
-        // (test-enforced), so the preemption slicing below cannot observe
-        // which tier ran — only the wall-clock per slice changes. Heat
-        // (compiled code) lives on the artifact and survives across
-        // slices, retries, workers, and requests.
-        let run = |vm: &mut Vm| {
-            if jit {
-                let engine = Jit::with_shared(
-                    &compiled,
-                    JitConfig::default(),
-                    Some(artifact.facts()),
-                    artifact.jit_cache().clone(),
-                );
-                vm.run_jit(&compiled, &engine)
-            } else {
-                vm.run(&compiled)
-            }
-        };
-        match run(&mut vm) {
-            Ok(value) => return Ok(value.to_string()),
-            Err(Error::FuelExhausted { .. }) if slice < fuel_quota => {
-                if Instant::now() >= deadline_at {
-                    return Err(JobError::DeadlineExceeded);
-                }
-                slice = slice.saturating_mul(2).min(fuel_quota);
-            }
-            Err(Error::FuelExhausted { .. }) => {
-                return Err(JobError::FuelQuotaExceeded { budget: fuel_quota })
-            }
-            Err(Error::MemoryExhausted { .. }) => {
-                return Err(JobError::MemoryQuotaExceeded {
-                    budget: quota.memory,
-                })
-            }
-            Err(e) => return Err(JobError::Script(e.to_string())),
+    let slice = fuel_slice.clamp(1, fuel_quota);
+    let mut granted = slice;
+    let mut past_deadline = false;
+    let mut refill = || {
+        if granted == fuel_quota {
+            return None;
         }
+        if Instant::now() >= deadline_at {
+            past_deadline = true;
+            return None;
+        }
+        let more = slice.min(fuel_quota - granted);
+        granted += more;
+        Some(more)
+    };
+    let compiled = artifact.instantiate();
+    let mut vm = Vm::with_limits(Some(slice), Some(quota.memory));
+    // The JIT charges fuel and memory bit-identically to the fused VM
+    // (test-enforced), so the deadline checks cannot observe which tier
+    // ran. Heat (compiled code) lives on the artifact and survives across
+    // retries, workers, and requests.
+    let run = if jit {
+        let engine = Jit::with_shared(
+            &compiled,
+            JitConfig::default(),
+            Some(artifact.facts()),
+            artifact.jit_cache().clone(),
+        );
+        vm.run_with_refill(&compiled, Some(&engine), &mut refill)
+    } else {
+        vm.run_with_refill(&compiled, None, &mut refill)
+    };
+    match run {
+        Ok(value) => Ok(value.to_string()),
+        Err(Error::FuelExhausted { .. }) if past_deadline => Err(JobError::DeadlineExceeded),
+        Err(Error::FuelExhausted { .. }) => Err(JobError::FuelQuotaExceeded { budget: fuel_quota }),
+        Err(Error::MemoryExhausted { .. }) => Err(JobError::MemoryQuotaExceeded {
+            budget: quota.memory,
+        }),
+        Err(e) => Err(JobError::Script(e.to_string())),
     }
 }
 
@@ -1036,9 +1068,11 @@ mod tests {
 
     #[test]
     fn jit_heat_is_shared_across_slices_and_executions() {
-        // One artifact owns one shared JIT cache: the first execution
-        // publishes compiled code, later executions (and later fuel
-        // slices of the same execution) start hot.
+        // One artifact owns one shared JIT cache. An execution is one run
+        // that pauses every 50 fuel for a deadline check and resumes in
+        // place, so code compiled in an early slice keeps running in the
+        // later ones; the first execution publishes it and later
+        // executions start hot.
         let artifact = ProgramArtifact::compile(
             "fn f(x) { return x * 2; } let s = 0; for i in range(0, 50) { s = s + f(i); } s",
         )
@@ -1056,6 +1090,51 @@ mod tests {
             artifact.jit_cache().len(),
             heated,
             "second execution re-published instead of reusing"
+        );
+    }
+
+    #[test]
+    fn sliced_runs_end_as_one_run_at_the_quota() {
+        // A run sliced into 7-fuel pieces must end exactly like one run at
+        // the whole quota: the same value when the quota suffices, and
+        // FuelQuotaExceeded (never DeadlineExceeded) when it does not.
+        let artifact =
+            ProgramArtifact::compile("let s = 0; for i in range(0, 200) { s = s + i; } s").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let needed = (1..5_000)
+            .find(|&fuel| Vm::with_fuel(fuel).run(&artifact.instantiate()).is_ok())
+            .expect("the loop finishes within 5 000 fuel");
+        for (fuel, jit) in [
+            (needed, false),
+            (needed, true),
+            (needed - 1, false),
+            (needed - 1, true),
+        ] {
+            let quota = TenantQuota {
+                fuel,
+                memory: 1 << 20,
+            };
+            let got = run_sliced(&artifact, quota, deadline, 7, jit);
+            if fuel == needed {
+                assert_eq!(got, Ok("19900".to_string()), "jit={jit}");
+            } else {
+                assert_eq!(
+                    got,
+                    Err(JobError::FuelQuotaExceeded { budget: fuel }),
+                    "jit={jit}"
+                );
+            }
+        }
+        // Past the deadline, the first slice boundary below the quota stops
+        // the run.
+        let quota = TenantQuota {
+            fuel: needed,
+            memory: 1 << 20,
+        };
+        let expired = Instant::now();
+        assert_eq!(
+            run_sliced(&artifact, quota, expired, 7, false),
+            Err(JobError::DeadlineExceeded)
         );
     }
 
@@ -1306,6 +1385,56 @@ mod tests {
         let stats = service.cache_stats();
         assert_eq!(stats.misses, 1, "{stats:?}");
         assert_eq!(stats.hits, 11, "{stats:?}");
+    }
+
+    #[test]
+    fn static_admission_memo_stays_within_the_cache_capacity() {
+        // The memo of static fuel bounds is capped at the program cache's
+        // capacity; dropping entries must never change a decision, so a
+        // second pass over the same programs (whose entries were evicted
+        // long ago) must shed exactly the same jobs.
+        const CAPACITY: usize = 8;
+        let mut config = quick_config();
+        config.program_cache_capacity = CAPACITY;
+        // Admitted jobs whose run outgrows the quota fail; keep the breaker
+        // from turning those into CircuitOpen rejections.
+        config.breaker_threshold = u32::MAX;
+        config.tenants = vec![TenantQuota {
+            fuel: 1_000,
+            memory: 1 << 20,
+        }];
+        let service = Service::new(config);
+        let sources: Vec<String> = (0..CAPACITY + 50)
+            .map(|i| {
+                format!(
+                    "let s = 0; for i in range(0, {}) {{ s = s + i; }} s",
+                    i * 20
+                )
+            })
+            .collect();
+        let decide = |src: &String| match service.submit(JobSpec::new(0, src.as_str())) {
+            Ok(handle) => {
+                // Admitted: it runs to some terminal outcome (a bound below
+                // the quota does not promise the run fits in it).
+                handle.wait();
+                None
+            }
+            Err(Rejected::StaticallyInfeasible { required, budget }) => Some((required, budget)),
+            Err(other) => panic!("unexpected rejection {other:?} for {src}"),
+        };
+        let first: Vec<_> = sources.iter().map(decide).collect();
+        assert!(service.inner.static_costs.lock().unwrap().len() <= CAPACITY);
+        let second: Vec<_> = sources.iter().map(decide).collect();
+        assert!(service.inner.static_costs.lock().unwrap().len() <= CAPACITY);
+        assert_eq!(first, second);
+        // Every decision is the one the analysis itself gives, and the mix
+        // holds both outcomes.
+        for (src, decision) in sources.iter().zip(&first) {
+            let lo = program::static_fuel_lower_bound(src).expect("parses");
+            assert_eq!(*decision, (lo > 1_000).then_some((lo, 1_000)), "{src}");
+        }
+        let shed = first.iter().filter(|d| d.is_some()).count();
+        assert!(shed > 0 && shed < sources.len(), "shed {shed}");
     }
 
     #[test]
