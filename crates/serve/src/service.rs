@@ -590,10 +590,21 @@ fn silence_injected_crash_panics() {
 }
 
 /// Executor thread body: pop, execute, repeat, until shutdown.
+///
+/// An executor yields after publishing each outcome. Jobs run on the
+/// executor thread itself, so back to back it never sleeps; the thread the
+/// outcome wakes (typically the submitter, whose next `submit` runs static
+/// admission) would otherwise wait out this executor's scheduler slice when
+/// the two share a CPU, while the queue drains and the other executor goes
+/// idle. How long that stall lasts depends on where the scheduler placed
+/// the threads, so without the yield throughput varies from run to run.
 fn executor_loop(inner: &Inner) {
     loop {
         match inner.queue.pop(Duration::from_millis(25)) {
-            Some(job) => execute(inner, job),
+            Some(job) => {
+                execute(inner, job);
+                thread::yield_now();
+            }
             None => {
                 if inner.shutting_down.load(Ordering::SeqCst) {
                     return;
