@@ -5,7 +5,7 @@
 //! [`crate::lexer::Token::line`] by the parser. Runtime errors and the
 //! static analyzer ([`crate::lint`]) anchor their messages on these spans.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,7 +213,7 @@ pub struct FnDef {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     /// Function definitions (top-level only).
-    pub functions: Vec<Rc<FnDef>>,
+    pub functions: Vec<Arc<FnDef>>,
     /// Main statements, executed in order.
     pub main: Block,
 }

@@ -10,7 +10,7 @@
 //! variables. Blocks introduce lexical scopes with shadowing.
 
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::ast::{Block, Expr, ExprKind, FnDef, Program, Stmt, StmtKind, UnOp};
 use crate::builtins;
@@ -33,7 +33,7 @@ enum Flow {
 
 /// The tree-walking interpreter.
 pub struct Interpreter {
-    functions: HashMap<String, Rc<FnDef>>,
+    functions: HashMap<String, Arc<FnDef>>,
     /// Scope stack of the currently executing frame (innermost last).
     scopes: Vec<HashMap<String, Value>>,
     depth: usize,
@@ -132,7 +132,7 @@ impl Interpreter {
         for f in &program.functions {
             if self
                 .functions
-                .insert(f.name.clone(), Rc::clone(f))
+                .insert(f.name.clone(), Arc::clone(f))
                 .is_some()
             {
                 return Err(

@@ -18,7 +18,7 @@ pub fn optimize(program: &Program) -> Program {
             .functions
             .iter()
             .map(|f| {
-                std::rc::Rc::new(FnDef {
+                std::sync::Arc::new(FnDef {
                     name: f.name.clone(),
                     params: f.params.clone(),
                     body: optimize_block(&f.body),

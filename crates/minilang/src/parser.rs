@@ -6,7 +6,7 @@
 //! Every node is stamped with the source line of its first token, so both
 //! runtime errors and [`crate::lint`] diagnostics can point back at code.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::ast::{BinOp, Block, Expr, ExprKind, FnDef, Program, Stmt, StmtKind, UnOp};
 use crate::error::{Error, Result};
@@ -80,7 +80,7 @@ impl Parser {
         let mut prog = Program::default();
         while self.peek() != &Tok::Eof {
             if self.peek() == &Tok::Fn {
-                prog.functions.push(Rc::new(self.fn_def()?));
+                prog.functions.push(Arc::new(self.fn_def()?));
             } else {
                 let s = self.stmt(false)?;
                 prog.main.push(s);

@@ -19,7 +19,8 @@
 //!   (`rcr_minilang::absint`) is consulted at submit time: a job whose
 //!   static fuel *lower bound* provably exceeds its tenant's quota is shed
 //!   as [`Rejected::StaticallyInfeasible`] before it costs a queue slot, a
-//!   compile, or an execution (memoized per content hash).
+//!   compile, or an execution. The bound comes from the program's one
+//!   cached front end, which the executor later compiles ([`cache`]).
 //! * **Quotas.** Per-tenant fuel *and* memory budgets
 //!   ([`TenantQuota`]) are enforced on every attempt, with byte-identical
 //!   semantics across interpreter and VM tiers (tested in `rcr-minilang`).
@@ -32,7 +33,8 @@
 //!   stop a failing tenant from monopolising executors; a panicking job is
 //!   caught by `catch_unwind` on its executor thread.
 //! * **Compile dedup.** A content-hash program cache with single-flight
-//!   dedup ([`cache`]) makes compile storms cost one compilation.
+//!   dedup ([`cache`]) makes compile storms cost one front end and one
+//!   compilation.
 //!
 //! Experiment E19 drives this service through an open-loop overload sweep
 //! crossed with a fault-rate ablation and reports throughput, latency

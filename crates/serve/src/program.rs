@@ -1,18 +1,26 @@
-//! Compiled-program artifacts: a `Send + Sync` representation of a fully
-//! compiled (optimized + fused) ResearchScript program, plus the content
-//! hash that keys the program cache.
+//! The two stages a distinct program goes through in the service, plus the
+//! content hash that keys the program cache.
 //!
-//! [`rcr_minilang::bytecode::Compiled`] itself is not shareable across
-//! threads — its constant pool holds [`Value`]s, which are `Rc`-based — so
-//! the cache stores this flattened artifact instead and each execution
-//! [`ProgramArtifact::instantiate`]s a private `Compiled`. Instantiation is
-//! a shallow O(program-size) rebuild; the expensive work (parse, constant
-//! folding, bytecode compilation, peephole fusion) happens once per
-//! distinct source, deduplicated by the single-flight cache.
+//! * [`FrontEnd`]: parse, constant folding and abstract interpretation. It
+//!   holds the optimized AST, the type facts and the static fuel lower
+//!   bound. Static admission runs it once per content hash and reads the
+//!   bound; the cache keeps it for the compile.
+//! * [`ProgramArtifact`]: bytecode compilation and peephole fusion of a
+//!   front end, run on an executor. [`rcr_minilang::bytecode::Compiled`]
+//!   itself is not shareable across threads (its constant pool holds
+//!   [`Value`]s, which are `Rc`-based), so the cache stores this flattened
+//!   artifact instead and each execution [`ProgramArtifact::instantiate`]s
+//!   a private `Compiled`. Instantiation is a shallow O(program-size)
+//!   rebuild.
+//!
+//! [`static_fuel_lower_bound`] and [`ProgramArtifact::compile`] run the same
+//! [`FrontEnd::analyze`] the cache does, so admission, compilation and the
+//! standalone entry points cannot disagree about a program.
 
 use std::sync::Arc;
 
 use rcr_minilang::absint::TypeFacts;
+use rcr_minilang::ast::Program;
 use rcr_minilang::bytecode::{Compiled, CompiledFn};
 use rcr_minilang::jit::SharedJitCache;
 use rcr_minilang::{absint, bytecode, optimize, parser, peephole, Error, Value};
@@ -62,13 +70,46 @@ struct ArtifactFn {
     consts: Vec<Const>,
 }
 
+/// A program's front end: the optimized AST plus what the abstract
+/// interpreter proved about it. `Send + Sync`, so the program cache can
+/// hold it from admission until an executor compiles it.
+#[derive(Debug)]
+pub struct FrontEnd {
+    ast: Program,
+    facts: TypeFacts,
+    fuel_lo: u64,
+}
+
+impl FrontEnd {
+    /// Parses and constant-folds `source`, then runs the abstract
+    /// interpreter on the optimized AST the compiler will consume.
+    ///
+    /// # Errors
+    /// Any lex or parse [`Error`]; deterministic, so callers may cache it.
+    pub fn analyze(source: &str) -> Result<FrontEnd, Error> {
+        let ast = optimize::optimize(&parser::parse(source)?);
+        let analysis = absint::analyze(&ast);
+        Ok(FrontEnd {
+            ast,
+            facts: analysis.facts,
+            fuel_lo: analysis.cost.program.lo,
+        })
+    }
+
+    /// The abstract interpreter's fuel lower bound for one run of the
+    /// program; `u64::MAX` marks a provably non-terminating program.
+    pub fn fuel_lower_bound(&self) -> u64 {
+        self.fuel_lo
+    }
+}
+
 /// A thread-shareable compiled program (optimized AST → bytecode → fused
 /// superinstructions), ready to instantiate per execution.
 #[derive(Debug, Clone)]
 pub struct ProgramArtifact {
     funcs: Vec<ArtifactFn>,
     main: usize,
-    /// The abstract-interpretation type facts the pipeline computed —
+    /// The abstract-interpretation type facts the front end computed —
     /// the JIT engine seeds its register types from the same facts that
     /// drove the peephole pass, so all analyses agree per artifact.
     facts: TypeFacts,
@@ -79,21 +120,30 @@ pub struct ProgramArtifact {
 }
 
 impl ProgramArtifact {
-    /// Runs the full compilation pipeline on `source`.
+    /// Runs the full pipeline on `source`: [`FrontEnd::analyze`], then
+    /// [`ProgramArtifact::from_front_end`].
     ///
     /// # Errors
     /// Any lex, parse, or compile [`Error`]; these are deterministic
     /// properties of the source text, so callers may cache them.
     pub fn compile(source: &str) -> Result<ProgramArtifact, Error> {
-        let program = parser::parse(source)?;
-        let optimized = optimize::optimize(&program);
-        let compiled = bytecode::compile(&optimized)?;
-        // Abstract-interpretation type facts widen the float-array proof
-        // (function returns count as producers), so strictly more indexing
-        // sites fuse than the syntactic scan alone would prove.
-        let facts = absint::analyze(&optimized).facts;
-        let fused =
-            peephole::optimize_with_facts(&compiled, peephole::Options::default(), Some(&facts));
+        Self::from_front_end(FrontEnd::analyze(source)?)
+    }
+
+    /// Compiles an analyzed program to bytecode and fuses it. The type
+    /// facts widen the float-array proof (function returns count as
+    /// producers), so strictly more indexing sites fuse than the syntactic
+    /// scan alone would prove. The AST is dropped here.
+    ///
+    /// # Errors
+    /// Any compile [`Error`] (e.g. a duplicate function definition).
+    pub fn from_front_end(front: FrontEnd) -> Result<ProgramArtifact, Error> {
+        let compiled = bytecode::compile(&front.ast)?;
+        let fused = peephole::optimize_with_facts(
+            &compiled,
+            peephole::Options::default(),
+            Some(&front.facts),
+        );
         Ok(ProgramArtifact {
             funcs: fused
                 .funcs
@@ -108,7 +158,7 @@ impl ProgramArtifact {
                 })
                 .collect(),
             main: fused.main,
-            facts,
+            facts: front.facts,
             jit_cache: Arc::new(SharedJitCache::new()),
         })
     }
@@ -151,22 +201,22 @@ impl ProgramArtifact {
     }
 }
 
-// Compile-time proof that artifacts are shareable across service threads.
+// Compile-time proof that front ends and artifacts are shareable across
+// service threads.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<FrontEnd>();
     assert_send_sync::<ProgramArtifact>();
 };
 
-/// Static fuel lower bound of `source` from the abstract interpreter's
-/// cost fixpoint, on the same optimized AST [`ProgramArtifact::compile`]
-/// feeds the VM. `None` when the source does not parse — admission then
-/// passes the job through so the compile stage reports the error with its
-/// usual typed outcome. A result of `u64::MAX` marks a provably
-/// non-terminating program.
+/// Static fuel lower bound of `source`: [`FrontEnd::fuel_lower_bound`] of
+/// [`FrontEnd::analyze`], the same front end static admission caches.
+/// `None` when the source does not parse — admission then passes the job
+/// through so the compile stage reports the error with its usual typed
+/// outcome. A result of `u64::MAX` marks a provably non-terminating
+/// program.
 pub fn static_fuel_lower_bound(source: &str) -> Option<u64> {
-    let program = parser::parse(source).ok()?;
-    let optimized = optimize::optimize(&program);
-    Some(absint::analyze(&optimized).cost.program.lo)
+    FrontEnd::analyze(source).ok().map(|f| f.fuel_lower_bound())
 }
 
 /// FNV-1a 64-bit content hash of a source text — the program-cache key.

@@ -17,11 +17,15 @@
 //!                                                              Completed | Failed(typed)
 //! ```
 //!
-//! The static-cost stage is the abstract interpreter's fuel lower bound
-//! (`rcr_minilang::absint`), memoized per content hash (at most
-//! [`ServiceConfig::program_cache_capacity`] entries): a job it sheds could
-//! only ever have ended in `FuelQuotaExceeded`, so rejecting it costs zero
-//! queue/compile/execute work ([`Rejected::StaticallyInfeasible`]).
+//! Submit first looks the program up in the program cache
+//! ([`crate::cache`]), whose entry runs the program's front end (parse,
+//! optimize, abstract interpretation) once per content hash. The static-cost
+//! stage reads the abstract interpreter's fuel lower bound from that entry.
+//! A job it sheds could only ever have ended in `FuelQuotaExceeded`, so
+//! rejecting it costs zero queue/compile/execute work
+//! ([`Rejected::StaticallyInfeasible`]). An admitted job carries the entry
+//! to its executor, which compiles the cached front end to bytecode (once
+//! per entry) without parsing, hashing or looking the source up again.
 //!
 //! Each attempt runs on its executor thread as one VM run. The VM stops
 //! after every `fuel_slice` of fuel to let the executor check the
@@ -47,7 +51,6 @@
 //! what lets a half-open breaker always eventually learn its probe's fate.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -62,9 +65,9 @@ use rcr_minilang::Error;
 use crate::admission::{BoundedQueue, PushOutcome, TokenBucket};
 use crate::backoff::BackoffPolicy;
 use crate::breaker::{BreakerState, CircuitBreaker};
-use crate::cache::{self, CacheStats, ProgramCache};
+use crate::cache::{self, CacheStats, CachedProgram, ProgramCache};
 use crate::job::{JobError, JobSpec, Outcome, Rejected};
-use crate::program::{self, ProgramArtifact};
+use crate::program::ProgramArtifact;
 
 /// Per-tenant execution quotas, enforced on every attempt of every job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,17 +117,16 @@ pub struct ServiceConfig {
     /// runaway script sooner at the cost of more clock reads; no work is
     /// ever re-run.
     pub fuel_slice: u64,
-    /// Static admission: consult the abstract interpreter's fuel cost
-    /// report at submit time and shed jobs whose static fuel *lower bound*
-    /// already exceeds the tenant's quota
-    /// ([`Rejected::StaticallyInfeasible`]) before any queue, compile, or
-    /// execute cost is paid. Analysis results are memoized by content
-    /// hash, within [`ServiceConfig::program_cache_capacity`].
+    /// Static admission: shed jobs whose static fuel *lower bound*, read
+    /// from the program's cached front end at submit time, already exceeds
+    /// the tenant's quota ([`Rejected::StaticallyInfeasible`]) before any
+    /// queue, compile, or execute cost is paid. The front end runs at
+    /// submit time either way, once per distinct program, and the executor
+    /// compiles it.
     pub static_admission: bool,
     /// Bound on resolved program-cache entries (LRU eviction past it, see
-    /// [`crate::cache`]) and on static-admission memo entries; keeps a
-    /// long-lived service's memory flat even when tenants submit an
-    /// unbounded stream of distinct programs.
+    /// [`crate::cache`]); keeps a long-lived service's memory flat even when
+    /// tenants submit an unbounded stream of distinct programs.
     pub program_cache_capacity: usize,
     /// Execute jobs on the register-IR JIT tier. The JIT's fuel and
     /// memory accounting is bit-identical to the fused VM, so deadline
@@ -318,7 +320,12 @@ struct TenantState {
 struct QueuedJob {
     id: u64,
     tenant: usize,
-    source: String,
+    /// The program's cache entry, resolved at submit time.
+    program: Arc<CachedProgram>,
+    /// Entries the cache evicted to admit this program. The executor drops
+    /// them after publishing the outcome, so freeing their artifacts stays
+    /// off the submit path.
+    evicted: Vec<Arc<CachedProgram>>,
     submitted_at: Instant,
     deadline: Duration,
     slot: Arc<OneShot>,
@@ -330,10 +337,6 @@ struct Inner {
     tenants: Vec<Mutex<TenantState>>,
     queue: BoundedQueue<QueuedJob>,
     cache: ProgramCache,
-    /// Static fuel lower bounds by content hash (`None` = unparseable, so
-    /// admission passes the job through for a typed compile error). Holds
-    /// at most the program cache's capacity; see [`Inner::static_fuel_lo`].
-    static_costs: Mutex<HashMap<u64, Option<u64>>>,
     shutting_down: AtomicBool,
     next_id: AtomicU64,
     metrics: MetricsCells,
@@ -344,28 +347,6 @@ impl Inner {
     /// on.
     fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
-    }
-
-    /// Cached static fuel lower bound of `source` (see
-    /// [`program::static_fuel_lower_bound`]). One analysis per distinct
-    /// source text, keyed by content hash.
-    fn static_fuel_lo(&self, source: &str) -> Option<u64> {
-        let key = program::content_hash(source);
-        if let Some(cached) = self.static_costs.lock().unwrap().get(&key) {
-            return *cached;
-        }
-        // Analyze outside the lock: admission stays cheap for concurrent
-        // submitters of already-seen programs, and a duplicate analysis of
-        // a brand-new program is deterministic, so last-write-wins is fine.
-        let lo = program::static_fuel_lower_bound(source);
-        let mut memo = self.static_costs.lock().unwrap();
-        // A full memo starts over: entries are deterministic, so dropping
-        // them costs only a re-analysis, never a different decision.
-        if memo.len() >= self.cache.capacity() && !memo.contains_key(&key) {
-            memo.clear();
-        }
-        memo.insert(key, lo);
-        lo
     }
 }
 
@@ -406,7 +387,6 @@ impl Service {
             tenants,
             queue: BoundedQueue::new(config.queue_capacity),
             cache: ProgramCache::with_capacity(config.program_cache_capacity),
-            static_costs: Mutex::new(HashMap::new()),
             shutting_down: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
             metrics: MetricsCells::default(),
@@ -447,14 +427,19 @@ impl Service {
                 .fetch_add(1, Ordering::Relaxed);
             return Err(Rejected::UnknownTenant);
         }
+        // The program's cache entry runs its front end once per distinct
+        // source; the job carries it to the executor. Resolved before the
+        // tenant lock, which it does not need.
+        let mut evicted = Vec::new();
+        let program = inner.cache.program(&spec.source, &mut evicted);
         // Static admission: a job whose static fuel lower bound already
         // exceeds the tenant quota can only end in FuelQuotaExceeded, so
         // shed it here — before it costs a token, a queue slot, a compile,
-        // or an execution. Runs before the tenant lock; it touches no
-        // per-tenant state.
+        // or an execution. An unparseable source has no bound and passes
+        // through, so the compile stage reports its typed error.
         if inner.config.static_admission {
             let budget = inner.config.tenants[spec.tenant].fuel;
-            if let Some(lo) = inner.static_fuel_lo(&spec.source) {
+            if let Some(lo) = program.fuel_lower_bound() {
                 if lo > budget {
                     inner
                         .metrics
@@ -493,7 +478,8 @@ impl Service {
         let job = QueuedJob {
             id: inner.next_id.fetch_add(1, Ordering::Relaxed),
             tenant: spec.tenant,
-            source: spec.source,
+            program,
+            evicted,
             submitted_at: Instant::now(),
             deadline: spec.deadline.unwrap_or(inner.config.default_deadline),
             slot: Arc::clone(&slot),
@@ -640,6 +626,8 @@ fn execute(inner: &Inner, job: QueuedJob) {
         }
     }
     job.slot.set(outcome);
+    // Free what this job's admission evicted, now that its outcome is out.
+    drop(job.evicted);
 }
 
 /// How one attempt ended, from the retry loop's point of view.
@@ -717,7 +705,7 @@ fn run_attempt(
         // before the cache so a retry actually re-enters the pipeline.
         return Attempt::Transient(Transient::Compile);
     }
-    let artifact = match inner.cache.get_or_compile(&job.source) {
+    let artifact = match inner.cache.artifact(&job.program) {
         Ok(artifact) => artifact,
         Err(e) => return Attempt::Fatal(JobError::Compile(e.to_string())),
     };
@@ -1399,11 +1387,12 @@ mod tests {
     }
 
     #[test]
-    fn static_admission_memo_stays_within_the_cache_capacity() {
-        // The memo of static fuel bounds is capped at the program cache's
-        // capacity; dropping entries must never change a decision, so a
-        // second pass over the same programs (whose entries were evicted
-        // long ago) must shed exactly the same jobs.
+    fn static_admission_decisions_survive_cache_eviction() {
+        // Admission reads the fuel bound from the program's cache entry,
+        // and the cache holds at most CAPACITY entries; an evicted entry
+        // must never change a decision, so a second pass over the same
+        // programs (whose entries were evicted long ago) must shed exactly
+        // the same jobs.
         const CAPACITY: usize = 8;
         let mut config = quick_config();
         config.program_cache_capacity = CAPACITY;
@@ -1434,18 +1423,66 @@ mod tests {
             Err(other) => panic!("unexpected rejection {other:?} for {src}"),
         };
         let first: Vec<_> = sources.iter().map(decide).collect();
-        assert!(service.inner.static_costs.lock().unwrap().len() <= CAPACITY);
+        assert!(service.inner.cache.len() <= CAPACITY);
         let second: Vec<_> = sources.iter().map(decide).collect();
-        assert!(service.inner.static_costs.lock().unwrap().len() <= CAPACITY);
+        assert!(service.inner.cache.len() <= CAPACITY);
         assert_eq!(first, second);
         // Every decision is the one the analysis itself gives, and the mix
         // holds both outcomes.
         for (src, decision) in sources.iter().zip(&first) {
-            let lo = program::static_fuel_lower_bound(src).expect("parses");
+            let lo = crate::program::static_fuel_lower_bound(src).expect("parses");
             assert_eq!(*decision, (lo > 1_000).then_some((lo, 1_000)), "{src}");
         }
         let shed = first.iter().filter(|d| d.is_some()).count();
         assert!(shed > 0 && shed < sources.len(), "shed {shed}");
+    }
+
+    #[test]
+    fn uncompilable_but_infeasible_source_is_shed_statically() {
+        // The duplicate `fn` parses (so the front end yields a bound) but
+        // fails bytecode compilation. Static admission must shed it on the
+        // bound, without compiling it, rather than admit it into a compile
+        // error.
+        let mut config = quick_config();
+        config.tenants = vec![TenantQuota {
+            fuel: 1_000,
+            memory: 1 << 20,
+        }];
+        let service = Service::new(config);
+        let src = "fn f() { return 1; } fn f() { return 2; } \
+                   let s = 0; for i in range(0, 10000) { s = s + i; } s";
+        assert!(ProgramArtifact::compile(src).is_err());
+        for _ in 0..2 {
+            match service.submit(JobSpec::new(0, src)) {
+                Err(Rejected::StaticallyInfeasible { required, budget }) => {
+                    assert!(required >= 20_000, "{required}");
+                    assert_eq!(budget, 1_000);
+                }
+                other => panic!("expected static shed, got {other:?}"),
+            }
+        }
+        let stats = service.cache_stats();
+        assert_eq!((stats.analyses, stats.misses), (1, 0), "{stats:?}");
+        assert_eq!(service.metrics().admitted, 0);
+    }
+
+    #[test]
+    fn unparseable_source_is_admitted_and_its_error_cached_once() {
+        let service = Service::new(quick_config());
+        for _ in 0..3 {
+            let handle = service.submit(JobSpec::new(0, "let = ;")).unwrap();
+            assert!(matches!(
+                handle.wait(),
+                Outcome::Failed(JobError::Compile(_))
+            ));
+        }
+        let stats = service.cache_stats();
+        // One front end (the parse that failed) and one compile request
+        // that resolved the cached error; the others hit it.
+        assert_eq!(stats.analyses, 1, "{stats:?}");
+        assert_eq!((stats.misses, stats.hits), (1, 2), "{stats:?}");
+        let m = service.metrics();
+        assert_eq!((m.admitted, m.failed, m.retries), (3, 3, 0));
     }
 
     #[test]
