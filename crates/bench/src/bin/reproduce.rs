@@ -148,14 +148,14 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let ctx = Ctx {
-        seed: MASTER_SEED,
-        gap: if args.quick {
+    let ctx = Ctx::new(
+        MASTER_SEED,
+        if args.quick {
             GapConfig::quick()
         } else {
             GapConfig::default()
         },
-    };
+    );
     for study in args.which {
         println!("== {} ({}): {} ==\n", study.id, study.artifact, study.title);
         if let Err(e) = (study.run)(&ctx, &Emitter::new(study, args.out.as_deref())) {

@@ -4,10 +4,9 @@ use rcr_core::absintstudy::AbsintStudy;
 use rcr_core::colstudy::ColPoint;
 use rcr_core::compare::{DistributionShift, FieldAdoption, ItemShift, LikertShift};
 use rcr_core::experiments::{Demographics, LoadPoint, PolicyOutcome, ResiliencePoint};
-use rcr_core::jitstudy::JitGapRow;
 use rcr_core::lintstudy::LintStudy;
 use rcr_core::memstudy::MemPoint;
-use rcr_core::perfgap::{GapClosure, KernelGap, ScalingCurve, Tier};
+use rcr_core::perfgap::{GapClosure, JitGapRow, KernelGap, ScalingCurve, Tier};
 use rcr_core::schedstudy::SchedPoint;
 use rcr_core::servestudy::ServePoint;
 use rcr_core::simstudy::SimPoint;
@@ -1102,7 +1101,8 @@ mod tests {
 
     #[test]
     fn jit_study_outputs_render() {
-        let rows = rcr_core::jitstudy::run(&GapConfig::quick()).unwrap();
+        let gaps = rcr_core::perfgap::measure_gaps(&GapConfig::quick()).unwrap();
+        let rows = rcr_core::perfgap::jit_gap(&gaps);
         let t = e22_table(&rows);
         assert_eq!(t.n_rows(), 4);
         let ascii = t.render_ascii();

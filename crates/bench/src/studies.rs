@@ -3,26 +3,53 @@
 //! (`DESIGN.md` §4 is the prose index). The `reproduce` binary loops over
 //! the requested entries, building one [`Emitter`] per entry.
 
+use std::cell::OnceCell;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use rcr_core::experiments::Experiments;
-use rcr_core::perfgap::{gap_closure, measure_gaps, measure_scaling, GapConfig};
-use rcr_core::{
-    absintstudy, colstudy, jitstudy, lintstudy, memstudy, schedstudy, servestudy, simstudy,
+use rcr_core::perfgap::{
+    gap_closure, jit_gap, measure_gaps, measure_scaling, GapConfig, KernelGap,
 };
+use rcr_core::{absintstudy, colstudy, lintstudy, memstudy, schedstudy, servestudy, simstudy};
 use rcr_report::table::Table;
 
 use crate::render;
 use crate::summary::{self, BenchSummary, Metric};
 
 /// What every study runs with.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct Ctx {
     /// Master seed every survey, workload and corpus derives from.
     pub seed: u64,
     /// Problem sizes of the timing experiments.
     pub gap: GapConfig,
+    /// The tier ladder, measured by the first study that reads it.
+    gaps: OnceCell<Vec<KernelGap>>,
+}
+
+impl Ctx {
+    /// A context whose tier ladder is not measured yet.
+    pub fn new(seed: u64, gap: GapConfig) -> Self {
+        Ctx {
+            seed,
+            gap,
+            gaps: OnceCell::new(),
+        }
+    }
+
+    /// The verified tier-ladder measurement that E5, E11, E16 and E22 all
+    /// read, taken by [`measure_gaps`] on the first call.
+    ///
+    /// # Errors
+    /// What [`measure_gaps`] returns.
+    pub fn gaps(&self) -> rcr_core::Result<&[KernelGap]> {
+        if let Some(gaps) = self.gaps.get() {
+            return Ok(gaps);
+        }
+        let gaps = measure_gaps(&self.gap)?;
+        Ok(self.gaps.get_or_init(|| gaps))
+    }
 }
 
 /// One experiment of the reproduction.
@@ -99,9 +126,9 @@ pub const STUDIES: [Study; 23] = [
         artifact: "Figure 2",
         title: "Interpreted-vs-native performance gap",
         run: |ctx, emit| {
-            let gaps = measure_gaps(&ctx.gap)?;
-            emit.table("perf_gap", &render::gap_table("Figure 2 data", &gaps));
-            emit.figure("perf_gap", &render::e5_figure(&gaps));
+            let gaps = ctx.gaps()?;
+            emit.table("perf_gap", &render::gap_table("Figure 2 data", gaps));
+            emit.figure("perf_gap", &render::e5_figure(gaps));
             emit.json("perf_gap", &gaps);
             Ok(())
         },
@@ -176,8 +203,8 @@ pub const STUDIES: [Study; 23] = [
         artifact: "Table 6",
         title: "Interpreter-tier ablation",
         run: |ctx, emit| {
-            let gaps = measure_gaps(&ctx.gap)?;
-            emit.table("interp_ablation", &render::e11_table(&gaps));
+            let gaps = ctx.gaps()?;
+            emit.table("interp_ablation", &render::e11_table(gaps));
             emit.json("interp_ablation", &gaps);
             Ok(())
         },
@@ -237,7 +264,7 @@ pub const STUDIES: [Study; 23] = [
         artifact: "Table 9",
         title: "Superinstruction VM gap closure",
         run: |ctx, emit| {
-            let closures = gap_closure(&measure_gaps(&ctx.gap)?);
+            let closures = gap_closure(ctx.gaps()?);
             emit.table("gap_closure", &render::e16_table(&closures));
             emit.figure("gap_closure", &render::e16_figure(&closures));
             emit.json("gap_closure", &closures);
@@ -316,7 +343,7 @@ pub const STUDIES: [Study; 23] = [
         artifact: "Table 11",
         title: "Register-IR JIT: closing the remaining fused-VM-to-native gap",
         run: |ctx, emit| {
-            let rows = jitstudy::run(&ctx.gap)?;
+            let rows = jit_gap(ctx.gaps()?);
             emit.table("jit_gap", &render::e22_table(&rows));
             emit.figure("jit_gap", &render::e22_figure(&rows));
             emit.json("jit_gap", &rows);

@@ -10,9 +10,8 @@
 use serde::Serialize;
 
 use rcr_core::colstudy::ColPoint;
-use rcr_core::jitstudy::JitGapRow;
 use rcr_core::memstudy::MemPoint;
-use rcr_core::perfgap::GapClosure;
+use rcr_core::perfgap::{GapClosure, JitGapRow};
 use rcr_core::schedstudy::SchedPoint;
 use rcr_core::servestudy::ServePoint;
 use rcr_core::simstudy::SimPoint;
@@ -114,18 +113,15 @@ impl Metric {
     }
 }
 
-/// E16 metrics: per (kernel, size), the fused-VM speedup and the fraction
-/// of the VM→native gap it closes.
+/// E16 metrics: per kernel, the fused-VM speedup and the fraction of the
+/// VM→native gap it closes. Like E22's, the names omit the problem size,
+/// so a `--smoke` summary stays structurally comparable to a full one.
 pub fn summarize_e16(rows: &[GapClosure]) -> Vec<Metric> {
     let mut s = Vec::new();
     for r in rows {
+        s.push(Metric::new(format!("speedup/{}", r.kernel), r.speedup, "x"));
         s.push(Metric::new(
-            format!("speedup/{}/{}", r.kernel, r.size),
-            r.speedup,
-            "x",
-        ));
-        s.push(Metric::new(
-            format!("closure/{}/{}", r.kernel, r.size),
+            format!("closure/{}", r.kernel),
             r.closure_frac,
             "frac",
         ));
@@ -288,6 +284,7 @@ pub fn summarize_e23(rows: &[SimPoint]) -> Vec<Metric> {
 mod tests {
     use super::*;
     use crate::studies::STUDIES;
+    use rcr_core::perfgap::{gap_closure, KernelGap, TierTime, TierTimes};
 
     #[test]
     fn checksum_tracks_metrics() {
@@ -329,6 +326,38 @@ mod tests {
             .find(|m| m.name == "best_speedup_vs_row/1000")
             .expect("speedup metric");
         assert!((best.value - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn e16_summary_names_are_size_free() {
+        let gaps: Vec<KernelGap> = [("dot", "n=20000"), ("mc-pi", "samples=5000")]
+            .into_iter()
+            .map(|(kernel, size)| {
+                let t = |median_s| Some(TierTime { median_s, runs: 1 });
+                KernelGap {
+                    kernel: kernel.into(),
+                    size: size.into(),
+                    tiers: TierTimes {
+                        vm: t(0.4),
+                        vm_fused: t(0.2),
+                        native_optimized: t(0.01),
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                }
+            })
+            .collect();
+        let s = summarize_e16(&gap_closure(&gaps));
+        let names: Vec<&str> = s.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "speedup/dot",
+                "closure/dot",
+                "speedup/mc-pi",
+                "closure/mc-pi"
+            ]
+        );
     }
 
     #[test]

@@ -56,3 +56,51 @@ fn bench_diff_rejects_tolerances_that_disable_or_break_the_gate() {
         );
     }
 }
+
+#[test]
+fn one_measurement_feeds_every_tier_ladder_table() {
+    let out = fresh_out_dir("ladder");
+    let run = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["e5", "e11", "e16", "e22", "--smoke", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run reproduce");
+    let read = |name: &str| -> serde_json::Value {
+        let text = std::fs::read_to_string(out.join(name)).unwrap_or_default();
+        serde_json::from_str(&text).unwrap_or(serde_json::Value::Null)
+    };
+    let [e5, e11, e16, e22] = [
+        "e5_perf_gap.json",
+        "e11_interp_ablation.json",
+        "e16_gap_closure.json",
+        "e22_jit_gap.json",
+    ]
+    .map(read);
+    let _ = std::fs::remove_dir_all(&out);
+
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "stderr: {stderr}");
+    assert_eq!(e5, e11, "E5 and E11 print different measurements");
+    let kernels = e5.as_array().expect("E5 rows");
+    assert_eq!(kernels.len(), 4);
+    for (i, g) in kernels.iter().enumerate() {
+        let kernel = &g["kernel"];
+        let (closure, jit) = (&e16[i], &e22[i]);
+        assert_eq!((&closure["kernel"], &jit["kernel"]), (kernel, kernel));
+        let median = |tier: &str| &g["tiers"][tier]["median_s"];
+        assert!(median("interp").is_number(), "{kernel}: no tree-walk time");
+        assert_eq!(&jit["interp_s"], median("interp"), "{kernel}: tree-walk");
+        for tier in ["vm", "vm_fused", "vm_jit"] {
+            let field = format!("{tier}_s");
+            assert_eq!(
+                &closure[field.as_str()],
+                median(tier),
+                "{kernel}: E16 {tier}"
+            );
+            assert_eq!(&jit[field.as_str()], median(tier), "{kernel}: E22 {tier}");
+        }
+        assert!(g["checksum"].is_string(), "{kernel}: no checksum in E5");
+        assert_eq!(g["checksum"], jit["checksum"], "{kernel}: checksum");
+        assert_eq!(g["jit_fns_compiled"], jit["jit_fns_compiled"], "{kernel}");
+    }
+}

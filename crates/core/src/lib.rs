@@ -10,8 +10,9 @@
 //! * [`trend`] — yearly adoption trajectories with Wilson bands and OLS
 //!   slopes;
 //! * [`perfgap`] — the performance study: the same kernels run as
-//!   ResearchScript (tree-walk → bytecode → vectorized) and as native Rust
-//!   (naive → optimized → parallel), plus thread-scaling with Amdahl fits;
+//!   ResearchScript (tree-walk → bytecode → fused → JIT → vectorized) and
+//!   as native Rust (naive → optimized → parallel), measured once and
+//!   read by E5, E11, E16 and E22, plus thread-scaling with Amdahl fits;
 //! * [`lintstudy`] — the defect-injection study: seeded mutants of a clean
 //!   script corpus scored against the `rsc --check` static analyzer;
 //! * [`schedstudy`] — the scheduler ablation: spawn-per-call runtimes vs
@@ -57,7 +58,6 @@ pub mod absintstudy;
 pub mod colstudy;
 pub mod compare;
 pub mod experiments;
-pub mod jitstudy;
 pub mod lintstudy;
 pub mod memstudy;
 pub mod perfgap;

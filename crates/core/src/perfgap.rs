@@ -1,7 +1,12 @@
-//! The performance study (experiments E5, E6, E11): the same kernels run as
-//! ResearchScript — tree-walking, bytecode, fused, register-IR JIT, and
-//! vectorized-builtin tiers — and as native Rust — naive, optimized, and
-//! parallel — with cross-tier verification before any time is trusted.
+//! The performance study: the same kernels run as ResearchScript —
+//! tree-walking, bytecode, fused, register-IR JIT, and vectorized-builtin
+//! tiers — and as native Rust — naive, optimized, and parallel — with
+//! cross-tier verification before any time is trusted.
+//!
+//! [`measure_gaps`] is the one measurement of this tier ladder. Four
+//! tables read its result: E5 (the gap figure), E11 (the interpreter
+//! ablation), E16 ([`gap_closure`]) and E22 ([`jit_gap`]). E6
+//! ([`measure_scaling`]) times thread scaling separately.
 
 use std::time::Duration;
 
@@ -9,14 +14,14 @@ use serde::Serialize;
 
 use rcr_kernels::harness::{measure, Measurement};
 use rcr_kernels::{dotaxpy, matmul, montecarlo, par, reduce, spmv, stencil};
-use rcr_minilang::{absint, bytecode, interp::Interpreter, jit, parser, peephole, vm::Vm, Value};
+use rcr_minilang::{run_source, run_source_vm, run_source_vm_fused, run_source_vm_jit, Value};
 use rcr_stats::regression::{amdahl_speedup, fit_amdahl};
 
 use crate::{Error, Result};
 
 /// Study configuration. `quick` shrinks sizes/reps by ~50× so unit tests
-/// and CI can exercise every code path in seconds; the `reproduce` binary
-/// and benches use the full sizes.
+/// and CI can exercise every code path in seconds; `reproduce` uses the
+/// full sizes unless given `--quick`.
 #[derive(Debug, Clone, Copy)]
 pub struct GapConfig {
     /// Use reduced problem sizes and repetitions.
@@ -74,7 +79,7 @@ impl From<Measurement> for TierTime {
 /// One execution tier of the gap study, in ladder order (slowest first).
 ///
 /// The display names here are the single source of truth: every table and
-/// figure (`reproduce e5`/`e11`/`e16`, the render module) takes tier labels
+/// figure (`reproduce e5`/`e11`/`e16`/`e22`, the render module) takes tier labels
 /// from [`Tier::name`] so prose, tables, and legends cannot drift apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Tier {
@@ -174,12 +179,17 @@ impl TierTimes {
 }
 
 /// One kernel's row in the gap table/figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Default)]
 pub struct KernelGap {
     /// Kernel name (`dot`, `saxpy`, `mc-pi`, `matmul`).
     pub kernel: String,
     /// Human-readable problem size.
     pub size: String,
+    /// Hex of the f64 bit pattern all four script tiers produced — they
+    /// are verified bit-identical before any time is trusted.
+    pub checksum: String,
+    /// Functions the JIT compiled on one run of the kernel's script.
+    pub jit_fns_compiled: u64,
     /// Measured tiers.
     pub tiers: TierTimes,
 }
@@ -196,7 +206,7 @@ impl KernelGap {
 
 // ---- ResearchScript kernel sources ------------------------------------
 
-pub(crate) fn dot_script(n: usize, vectorized: bool) -> String {
+fn dot_script(n: usize, vectorized: bool) -> String {
     let compute = if vectorized {
         "let r = vdot(a, b);".to_owned()
     } else {
@@ -208,7 +218,7 @@ pub(crate) fn dot_script(n: usize, vectorized: bool) -> String {
     )
 }
 
-pub(crate) fn saxpy_script(n: usize, vectorized: bool) -> String {
+fn saxpy_script(n: usize, vectorized: bool) -> String {
     let compute = if vectorized {
         "vaxpy(2.5, x, y);".to_owned()
     } else {
@@ -219,7 +229,7 @@ pub(crate) fn saxpy_script(n: usize, vectorized: bool) -> String {
     )
 }
 
-pub(crate) fn mcpi_script(n: usize) -> String {
+fn mcpi_script(n: usize) -> String {
     // Park–Miller LCG: every product stays below 2^53, so f64 arithmetic is
     // exact and all tiers (and the native verifier) agree bit-for-bit.
     format!(
@@ -227,7 +237,7 @@ pub(crate) fn mcpi_script(n: usize) -> String {
     )
 }
 
-pub(crate) fn matmul_script(n: usize) -> String {
+fn matmul_script(n: usize) -> String {
     format!(
         "fn matmul(a, b, c, n) {{\n  for i in range(0, n) {{\n    for j in range(0, n) {{\n      let acc = 0;\n      for k in range(0, n) {{ acc = acc + a[i * n + k] * b[k * n + j]; }}\n      c[i * n + j] = acc;\n    }}\n  }}\n}}\nlet n = {n};\nlet a = zeros(n * n);\nlet b = zeros(n * n);\nlet c = zeros(n * n);\nfor i in range(0, n * n) {{\n  a[i] = (i % 7) * 0.25;\n  b[i] = ((i % 5) + 1) * 0.5;\n}}\nmatmul(a, b, c, n);\nvsum(c)"
     )
@@ -249,11 +259,11 @@ pub fn study_scripts() -> Vec<(String, String)> {
 
 // ---- native reference data matching the scripts ------------------------
 
-pub(crate) fn script_vec_a(n: usize) -> Vec<f64> {
+fn script_vec_a(n: usize) -> Vec<f64> {
     (0..n).map(|i| (i % 7) as f64 * 0.25).collect()
 }
 
-pub(crate) fn script_vec_b(n: usize) -> Vec<f64> {
+fn script_vec_b(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i % 5) + 1) as f64 * 0.5).collect()
 }
 
@@ -278,7 +288,7 @@ fn mcpi_native(n: u64) -> f64 {
 
 /// Optimized native Park–Miller π: identical sample sequence, but the LCG
 /// runs in u64 integer arithmetic (the expert rewrite of [`mcpi_native`]).
-pub(crate) fn mcpi_native_optimized(n: u64) -> f64 {
+fn mcpi_native_optimized(n: u64) -> f64 {
     let mut seed: u64 = 12345;
     let mut hits = 0u64;
     for _ in 0..n {
@@ -293,42 +303,7 @@ pub(crate) fn mcpi_native_optimized(n: u64) -> f64 {
     4.0 * hits as f64 / n as f64
 }
 
-// ---- execution helpers --------------------------------------------------
-
-pub(crate) fn run_interp(src: &str) -> Result<f64> {
-    let program = parser::parse(src)?;
-    let v = Interpreter::new().run(&program)?;
-    value_to_f64(v)
-}
-
-pub(crate) fn run_vm(src: &str) -> Result<f64> {
-    let program = parser::parse(src)?;
-    let compiled = bytecode::compile(&program)?;
-    let v = Vm::new().run(&compiled)?;
-    value_to_f64(v)
-}
-
-pub(crate) fn run_vm_fused(src: &str) -> Result<f64> {
-    let program = parser::parse(src)?;
-    let compiled = bytecode::compile(&program)?;
-    let fused = peephole::optimize(&compiled);
-    let v = Vm::new().run(&fused)?;
-    value_to_f64(v)
-}
-
-/// Runs a script on the register-IR JIT tier (timing includes parsing,
-/// compilation, analysis, and JIT translation — the full warmup a user
-/// pays, same as the other script runners).
-pub(crate) fn run_vm_jit(src: &str) -> Result<f64> {
-    let program = parser::parse(src)?;
-    let compiled = bytecode::compile(&program)?;
-    let facts = absint::analyze(&program).facts;
-    let fused =
-        peephole::optimize_with_facts(&compiled, peephole::Options::default(), Some(&facts));
-    let engine = jit::Jit::new(&fused, jit::JitConfig::default(), Some(&facts));
-    let v = Vm::new().run_jit(&fused, &engine)?;
-    value_to_f64(v)
-}
+// ---- verification helpers -----------------------------------------------
 
 fn value_to_f64(v: Value) -> Result<f64> {
     match v {
@@ -339,17 +314,27 @@ fn value_to_f64(v: Value) -> Result<f64> {
     }
 }
 
-pub(crate) fn measure_script<F>(src: &str, reps: usize, runner: F) -> Result<(Measurement, f64)>
-where
-    F: Fn(&str) -> Result<f64>,
-{
+/// A minilang entry point: parse, compile and run a script on one tier.
+type ScriptRunner = fn(&str) -> rcr_minilang::Result<Value>;
+
+/// The four script tiers every kernel runs, each through its own minilang
+/// entry point (timing includes parsing, compilation, analysis, and JIT
+/// translation — the full warmup a user pays).
+const SCRIPT_TIERS: [(Tier, ScriptRunner); 4] = [
+    (Tier::Interp, run_source),
+    (Tier::Vm, run_source_vm),
+    (Tier::VmFused, run_source_vm_fused),
+    (Tier::VmJit, run_source_vm_jit),
+];
+
+fn measure_script(src: &str, reps: usize, run: ScriptRunner) -> Result<(Measurement, f64)> {
     // Verify once, then time.
-    let reference = runner(src)?;
+    let reference = value_to_f64(run(src)?)?;
     let mut last = reference;
     let m = measure(
         reps,
-        || runner(src).expect("script verified before timing"),
-        |v| last = v,
+        || value_to_f64(run(src).expect("script verified before timing")),
+        |v| last = v.expect("script verified before timing"),
     );
     if (last - reference).abs() > 1e-9 * (1.0 + reference.abs()) {
         return Err(Error::VerificationFailed(format!(
@@ -370,208 +355,227 @@ fn verify_close(kernel: &str, a: f64, b: f64, tol: f64) -> Result<()> {
     }
 }
 
+/// Exact bitwise agreement across every script tier of one kernel;
+/// returns the shared bit pattern.
+fn verify_bits(kernel: &str, results: &[(&str, f64)]) -> Result<u64> {
+    let (_, first) = results[0];
+    let bits = first.to_bits();
+    for (tier, r) in results {
+        if r.to_bits() != bits {
+            return Err(Error::VerificationFailed(format!(
+                "{kernel}: tier `{tier}` diverged ({r} vs {first}, bits {:016x} vs {bits:016x})",
+                r.to_bits()
+            )));
+        }
+    }
+    Ok(bits)
+}
+
+// ---- the kernel table -----------------------------------------------------
+
+/// Naive, optimized and parallel native timings of one kernel.
+type NativeTimes = [Measurement; 3];
+
+/// One kernel of the tier ladder.
+struct Kernel {
+    name: &'static str,
+    /// Problem size: quick, full.
+    n: [usize; 2],
+    size: fn(usize) -> String,
+    /// The scalar-loop script all four script tiers run.
+    script: fn(usize) -> String,
+    /// The same computation through the vectorized builtins, when the
+    /// kernel has one.
+    vectorized: Option<fn(usize) -> String>,
+    /// Checks the scripts' shared result against native code, then times
+    /// the native tiers: `(n, script result, reps, threads)`.
+    native: fn(usize, f64, usize, usize) -> Result<NativeTimes>,
+}
+
+const KERNELS: [Kernel; 4] = [
+    Kernel {
+        name: "dot",
+        n: [20_000, 1_000_000],
+        size: |n| format!("n={n}"),
+        script: |n| dot_script(n, false),
+        vectorized: Some(|n| dot_script(n, true)),
+        native: native_dot,
+    },
+    Kernel {
+        name: "saxpy",
+        n: [20_000, 1_000_000],
+        size: |n| format!("n={n}"),
+        script: |n| saxpy_script(n, false),
+        vectorized: Some(|n| saxpy_script(n, true)),
+        native: native_saxpy,
+    },
+    Kernel {
+        name: "mc-pi",
+        n: [5_000, 200_000],
+        size: |n| format!("samples={n}"),
+        script: mcpi_script,
+        vectorized: None, // no vectorized form of the sampling loop
+        native: native_mcpi,
+    },
+    Kernel {
+        name: "matmul",
+        n: [16, 64],
+        size: |n| format!("{n}x{n}"),
+        script: matmul_script,
+        vectorized: None, // no matrix builtin — deliberately
+        native: native_matmul,
+    },
+];
+
+/// Times the naive, optimized and parallel variants of one kernel.
+fn time_native(reps: usize, variants: [&dyn Fn() -> f64; 3]) -> NativeTimes {
+    let mut sink = 0.0;
+    let times = variants.map(|f| measure(reps, f, |v| sink += v));
+    assert!(sink.is_finite());
+    times
+}
+
+fn native_dot(n: usize, script: f64, reps: usize, threads: usize) -> Result<NativeTimes> {
+    let (a, b) = (script_vec_a(n), script_vec_b(n));
+    verify_close(
+        "dot script/native",
+        script,
+        dotaxpy::dot_optimized(&a, &b),
+        1e-9,
+    )?;
+    Ok(time_native(
+        reps,
+        [
+            &|| dotaxpy::dot_naive(&a, &b),
+            &|| dotaxpy::dot_optimized(&a, &b),
+            &|| dotaxpy::dot_parallel(&a, &b, threads),
+        ],
+    ))
+}
+
+fn native_saxpy(n: usize, script: f64, reps: usize, threads: usize) -> Result<NativeTimes> {
+    let (x, base) = (script_vec_a(n), script_vec_b(n));
+    // Every run updates a fresh copy of `y`, as the script does.
+    let axpy = |kernel: &dyn Fn(&mut [f64])| {
+        let mut y = base.clone();
+        kernel(&mut y);
+        y
+    };
+    let native: f64 = axpy(&|y| dotaxpy::axpy_optimized(2.5, &x, y)).iter().sum();
+    verify_close("saxpy script/native", script, native, 1e-9)?;
+    Ok(time_native(
+        reps,
+        [
+            &|| axpy(&|y| dotaxpy::axpy_naive(2.5, &x, y))[n / 2],
+            &|| axpy(&|y| dotaxpy::axpy_optimized(2.5, &x, y))[n / 2],
+            &|| axpy(&|y| dotaxpy::axpy_parallel(2.5, &x, y, threads))[n / 2],
+        ],
+    ))
+}
+
+fn native_mcpi(n: usize, script: f64, reps: usize, threads: usize) -> Result<NativeTimes> {
+    let n = n as u64;
+    // The scripted LCG and both native verifiers are bit-identical.
+    verify_close("mc-pi script/native-lcg", script, mcpi_native(n), 0.0)?;
+    verify_close(
+        "mc-pi native/native-int",
+        mcpi_native(n),
+        mcpi_native_optimized(n),
+        0.0,
+    )?;
+    Ok(time_native(
+        reps,
+        [&|| mcpi_native(n), &|| mcpi_native_optimized(n), &|| {
+            montecarlo::pi_parallel(n, 42, threads)
+        }],
+    ))
+}
+
+fn native_matmul(n: usize, script: f64, reps: usize, threads: usize) -> Result<NativeTimes> {
+    let (a, b) = (script_vec_a(n * n), script_vec_b(n * n));
+    let native: f64 = matmul::naive(&a, &b, n).iter().sum();
+    verify_close("matmul script/native", script, native, 1e-9)?;
+    Ok(time_native(
+        reps,
+        [
+            &|| matmul::naive(&a, &b, n)[0],
+            &|| matmul::blocked(&a, &b, n)[0],
+            &|| matmul::parallel(&a, &b, n, threads)[0],
+        ],
+    ))
+}
+
 // ---- the study ----------------------------------------------------------
 
-/// Runs the full cross-tier gap study (experiment E5 + the script tiers of
-/// E11). Every tier's result is verified against the others before timings
-/// are reported.
+/// Measures the tier ladder: every kernel on the four script tiers, the
+/// vectorized builtins and the three native tiers. E5, E11, E16 and E22
+/// all read this one result.
+///
+/// Before any time is trusted, the four script tiers must agree bit for
+/// bit, the vectorized tier within 1e-9 of them, and native code within
+/// 1e-9 (exactly for mc-π).
 ///
 /// # Errors
 /// Script errors and [`Error::VerificationFailed`] when tiers disagree.
 pub fn measure_gaps(config: &GapConfig) -> Result<Vec<KernelGap>> {
     let reps = config.reps();
-    let threads = config.threads;
-    let mut out = Vec::with_capacity(4);
+    KERNELS
+        .iter()
+        .map(|k| {
+            let n = k.n[usize::from(!config.quick)];
+            let src = (k.script)(n);
+            let mut times = Vec::with_capacity(SCRIPT_TIERS.len());
+            let mut results = Vec::with_capacity(SCRIPT_TIERS.len() + 1);
+            for (tier, run) in SCRIPT_TIERS {
+                let (m, r) = measure_script(&src, reps, run)?;
+                times.push(Some(m.into()));
+                results.push((tier.name(), r));
+            }
+            let [interp, vm, vm_fused, vm_jit]: [Option<TierTime>; 4] =
+                times.try_into().expect("one time per script tier");
+            let (jit_result, jit_fns_compiled) = rcr_minilang::run_source_vm_jit_counted(&src)?;
+            results.push(("JIT VM, counted", value_to_f64(jit_result)?));
+            let bits = verify_bits(k.name, &results)?;
+            let result = f64::from_bits(bits);
+            let vectorized = match k.vectorized {
+                Some(script) => {
+                    let (m, r) = measure_script(&script(n), reps, run_source_vm)?;
+                    verify_close(&format!("{} vm/vectorized", k.name), result, r, 1e-9)?;
+                    Some(m.into())
+                }
+                None => None,
+            };
+            let [naive, optimized, parallel] = (k.native)(n, result, reps, config.threads)?;
+            Ok(KernelGap {
+                kernel: k.name.into(),
+                size: (k.size)(n),
+                checksum: format!("{bits:016x}"),
+                jit_fns_compiled: u64::from(jit_fns_compiled),
+                tiers: TierTimes {
+                    interp,
+                    vm,
+                    vm_fused,
+                    vm_jit,
+                    vectorized,
+                    native_naive: Some(naive.into()),
+                    native_optimized: Some(optimized.into()),
+                    native_parallel: Some(parallel.into()),
+                },
+            })
+        })
+        .collect()
+}
 
-    // ---- dot ----
-    {
-        let n = if config.quick { 20_000 } else { 1_000_000 };
-        let (m_interp, r_interp) = measure_script(&dot_script(n, false), reps, run_interp)?;
-        let (m_vm, r_vm) = measure_script(&dot_script(n, false), reps, run_vm)?;
-        let (m_fused, r_fused) = measure_script(&dot_script(n, false), reps, run_vm_fused)?;
-        let (m_jit, r_jit) = measure_script(&dot_script(n, false), reps, run_vm_jit)?;
-        let (m_vec, r_vec) = measure_script(&dot_script(n, true), reps, run_vm)?;
-        let a = script_vec_a(n);
-        let b = script_vec_b(n);
-        let native_ref = dotaxpy::dot_optimized(&a, &b);
-        verify_close("dot interp/vm", r_interp, r_vm, 1e-12)?;
-        verify_close("dot vm/fused", r_vm, r_fused, 0.0)?;
-        verify_close("dot fused/jit", r_fused, r_jit, 0.0)?;
-        verify_close("dot vm/vectorized", r_vm, r_vec, 1e-9)?;
-        verify_close("dot script/native", r_vm, native_ref, 1e-9)?;
-        let mut sink = 0.0;
-        let m_naive = measure(reps, || dotaxpy::dot_naive(&a, &b), |v| sink += v);
-        let m_opt = measure(reps, || dotaxpy::dot_optimized(&a, &b), |v| sink += v);
-        let m_par = measure(
-            reps,
-            || dotaxpy::dot_parallel(&a, &b, threads),
-            |v| sink += v,
-        );
-        assert!(sink.is_finite());
-        out.push(KernelGap {
-            kernel: "dot".into(),
-            size: format!("n={n}"),
-            tiers: TierTimes {
-                interp: Some(m_interp.into()),
-                vm: Some(m_vm.into()),
-                vm_fused: Some(m_fused.into()),
-                vm_jit: Some(m_jit.into()),
-                vectorized: Some(m_vec.into()),
-                native_naive: Some(m_naive.into()),
-                native_optimized: Some(m_opt.into()),
-                native_parallel: Some(m_par.into()),
-            },
-        });
+/// Fraction of the log-scale `from` → `native` gap that `to` closes:
+/// `(ln from − ln to) / (ln from − ln native)`. Zero when there is no gap;
+/// 1.0 would mean `to` reached native speed.
+fn log_gap_closed(from: f64, to: f64, native: f64) -> f64 {
+    let log_gap = (from / native).ln();
+    if log_gap.abs() > 1e-9 {
+        (from / to).ln() / log_gap
+    } else {
+        0.0
     }
-
-    // ---- saxpy ----
-    {
-        let n = if config.quick { 20_000 } else { 1_000_000 };
-        let (m_interp, r_interp) = measure_script(&saxpy_script(n, false), reps, run_interp)?;
-        let (m_vm, r_vm) = measure_script(&saxpy_script(n, false), reps, run_vm)?;
-        let (m_fused, r_fused) = measure_script(&saxpy_script(n, false), reps, run_vm_fused)?;
-        let (m_jit, r_jit) = measure_script(&saxpy_script(n, false), reps, run_vm_jit)?;
-        let (m_vec, r_vec) = measure_script(&saxpy_script(n, true), reps, run_vm)?;
-        verify_close("saxpy interp/vm", r_interp, r_vm, 1e-12)?;
-        verify_close("saxpy vm/fused", r_vm, r_fused, 0.0)?;
-        verify_close("saxpy fused/jit", r_fused, r_jit, 0.0)?;
-        verify_close("saxpy vm/vectorized", r_vm, r_vec, 1e-9)?;
-        let x = script_vec_a(n);
-        let base = script_vec_b(n);
-        let mut y = base.clone();
-        dotaxpy::axpy_optimized(2.5, &x, &mut y);
-        let native_ref: f64 = y.iter().sum();
-        verify_close("saxpy script/native", r_vm, native_ref, 1e-9)?;
-        let mut sink = 0.0;
-        let m_naive = measure(
-            reps,
-            || {
-                let mut y = base.clone();
-                dotaxpy::axpy_naive(2.5, &x, &mut y);
-                y[n / 2]
-            },
-            |v| sink += v,
-        );
-        let m_opt = measure(
-            reps,
-            || {
-                let mut y = base.clone();
-                dotaxpy::axpy_optimized(2.5, &x, &mut y);
-                y[n / 2]
-            },
-            |v| sink += v,
-        );
-        let m_par = measure(
-            reps,
-            || {
-                let mut y = base.clone();
-                dotaxpy::axpy_parallel(2.5, &x, &mut y, threads);
-                y[n / 2]
-            },
-            |v| sink += v,
-        );
-        assert!(sink.is_finite());
-        out.push(KernelGap {
-            kernel: "saxpy".into(),
-            size: format!("n={n}"),
-            tiers: TierTimes {
-                interp: Some(m_interp.into()),
-                vm: Some(m_vm.into()),
-                vm_fused: Some(m_fused.into()),
-                vm_jit: Some(m_jit.into()),
-                vectorized: Some(m_vec.into()),
-                native_naive: Some(m_naive.into()),
-                native_optimized: Some(m_opt.into()),
-                native_parallel: Some(m_par.into()),
-            },
-        });
-    }
-
-    // ---- mc-pi ----
-    {
-        let n: u64 = if config.quick { 5_000 } else { 200_000 };
-        let src = mcpi_script(n as usize);
-        let (m_interp, r_interp) = measure_script(&src, reps, run_interp)?;
-        let (m_vm, r_vm) = measure_script(&src, reps, run_vm)?;
-        let (m_fused, r_fused) = measure_script(&src, reps, run_vm_fused)?;
-        let (m_jit, r_jit) = measure_script(&src, reps, run_vm_jit)?;
-        verify_close("mc-pi interp/vm", r_interp, r_vm, 0.0)?;
-        verify_close("mc-pi vm/fused", r_vm, r_fused, 0.0)?;
-        verify_close("mc-pi fused/jit", r_fused, r_jit, 0.0)?;
-        // The scripted LCG and both native verifiers are bit-identical.
-        verify_close("mc-pi script/native-lcg", r_vm, mcpi_native(n), 0.0)?;
-        verify_close(
-            "mc-pi native/native-int",
-            mcpi_native(n),
-            mcpi_native_optimized(n),
-            0.0,
-        )?;
-        let mut sink = 0.0;
-        let m_naive = measure(reps, || mcpi_native(n), |v| sink += v);
-        let m_opt = measure(reps, || mcpi_native_optimized(n), |v| sink += v);
-        let m_par = measure(
-            reps,
-            || montecarlo::pi_parallel(n, 42, threads),
-            |v| sink += v,
-        );
-        assert!(sink.is_finite());
-        out.push(KernelGap {
-            kernel: "mc-pi".into(),
-            size: format!("samples={n}"),
-            tiers: TierTimes {
-                interp: Some(m_interp.into()),
-                vm: Some(m_vm.into()),
-                vm_fused: Some(m_fused.into()),
-                vm_jit: Some(m_jit.into()),
-                vectorized: None, // no vectorized form of the sampling loop
-                native_naive: Some(m_naive.into()),
-                native_optimized: Some(m_opt.into()),
-                native_parallel: Some(m_par.into()),
-            },
-        });
-    }
-
-    // ---- matmul ----
-    {
-        let n = if config.quick { 16 } else { 64 };
-        let src = matmul_script(n);
-        let (m_interp, r_interp) = measure_script(&src, reps, run_interp)?;
-        let (m_vm, r_vm) = measure_script(&src, reps, run_vm)?;
-        let (m_fused, r_fused) = measure_script(&src, reps, run_vm_fused)?;
-        let (m_jit, r_jit) = measure_script(&src, reps, run_vm_jit)?;
-        verify_close("matmul interp/vm", r_interp, r_vm, 1e-12)?;
-        verify_close("matmul vm/fused", r_vm, r_fused, 0.0)?;
-        verify_close("matmul fused/jit", r_fused, r_jit, 0.0)?;
-        let a = script_vec_a(n * n);
-        let b = script_vec_b(n * n);
-        let native_ref: f64 = matmul::naive(&a, &b, n).iter().sum();
-        verify_close("matmul script/native", r_vm, native_ref, 1e-9)?;
-        let mut sink = 0.0;
-        let m_naive = measure(reps, || matmul::naive(&a, &b, n)[0], |v| sink += v);
-        let m_opt = measure(reps, || matmul::blocked(&a, &b, n)[0], |v| sink += v);
-        let m_par = measure(
-            reps,
-            || matmul::parallel(&a, &b, n, threads)[0],
-            |v| sink += v,
-        );
-        assert!(sink.is_finite());
-        out.push(KernelGap {
-            kernel: "matmul".into(),
-            size: format!("{n}x{n}"),
-            tiers: TierTimes {
-                interp: Some(m_interp.into()),
-                vm: Some(m_vm.into()),
-                vm_fused: Some(m_fused.into()),
-                vm_jit: Some(m_jit.into()),
-                vectorized: None, // no matrix builtin — deliberately
-                native_naive: Some(m_naive.into()),
-                native_optimized: Some(m_opt.into()),
-                native_parallel: Some(m_par.into()),
-            },
-        });
-    }
-
-    Ok(out)
 }
 
 // ---- gap closure (E16) --------------------------------------------------
@@ -613,20 +617,7 @@ pub fn gap_closure(gaps: &[KernelGap]) -> Vec<GapClosure> {
             let vm = g.tiers.vm?.median_s.max(1e-12);
             let fused = g.tiers.vm_fused?.median_s.max(1e-12);
             let native = g.tiers.native_best_serial()?.median_s.max(1e-12);
-            let log_gap = (vm / native).ln();
-            let closure_frac = if log_gap.abs() > 1e-9 {
-                (vm / fused).ln() / log_gap
-            } else {
-                0.0
-            };
             let jit = g.tiers.vm_jit.map(|t| t.median_s.max(1e-12));
-            let jit_closure_frac = jit.map(|j| {
-                if log_gap.abs() > 1e-9 {
-                    (vm / j).ln() / log_gap
-                } else {
-                    0.0
-                }
-            });
             Some(GapClosure {
                 kernel: g.kernel.clone(),
                 size: g.size.clone(),
@@ -634,10 +625,74 @@ pub fn gap_closure(gaps: &[KernelGap]) -> Vec<GapClosure> {
                 vm_fused_s: fused,
                 native_best_s: native,
                 speedup: vm / fused,
-                closure_frac,
+                closure_frac: log_gap_closed(vm, fused, native),
                 vm_jit_s: jit,
                 jit_speedup: jit.map(|j| fused / j),
-                jit_closure_frac,
+                jit_closure_frac: jit.map(|j| log_gap_closed(vm, j, native)),
+            })
+        })
+        .collect()
+}
+
+// ---- JIT gap closure (E22) ----------------------------------------------
+
+/// One kernel's row in the E22 table: the four script tiers, the native
+/// reference, and how much of the remaining fused-VM → native gap the
+/// register-IR JIT closes.
+#[derive(Debug, Clone, Serialize)]
+pub struct JitGapRow {
+    /// Kernel name (`dot`, `saxpy`, `mc-pi`, `matmul`).
+    pub kernel: String,
+    /// Human-readable problem size.
+    pub size: String,
+    /// Hex of the f64 bit pattern every script tier's result shares
+    /// ([`KernelGap::checksum`]).
+    pub checksum: String,
+    /// Tree-walk median seconds.
+    pub interp_s: f64,
+    /// Plain bytecode-VM median seconds.
+    pub vm_s: f64,
+    /// Fused-VM median seconds.
+    pub vm_fused_s: f64,
+    /// Register-IR JIT median seconds.
+    pub vm_jit_s: f64,
+    /// Best serial native median seconds (the closure denominator).
+    pub native_best_s: f64,
+    /// Functions the JIT engine compiled on one run of the script.
+    pub jit_fns_compiled: u64,
+    /// JIT speedup over the fused VM (`fused / jit`) — the headline.
+    pub jit_speedup_vs_fused: f64,
+    /// JIT speedup over the tree-walk baseline (`interp / jit`).
+    pub jit_speedup_vs_interp: f64,
+    /// Fraction of the log-scale fused-VM → native gap the JIT closes:
+    /// `(ln fused − ln jit) / (ln fused − ln native)`. Zero when the JIT
+    /// buys nothing; 1.0 would mean it reached native speed.
+    pub remaining_gap_closed: f64,
+}
+
+/// Derives the E22 rows from a measured gap study. Kernels missing a
+/// script tier or a serial native tier are skipped.
+pub fn jit_gap(gaps: &[KernelGap]) -> Vec<JitGapRow> {
+    gaps.iter()
+        .filter_map(|g| {
+            let secs = |t: Option<TierTime>| Some(t?.median_s.max(1e-12));
+            let interp = secs(g.tiers.interp)?;
+            let fused = secs(g.tiers.vm_fused)?;
+            let jit = secs(g.tiers.vm_jit)?;
+            let native = secs(g.tiers.native_best_serial())?;
+            Some(JitGapRow {
+                kernel: g.kernel.clone(),
+                size: g.size.clone(),
+                checksum: g.checksum.clone(),
+                interp_s: interp,
+                vm_s: secs(g.tiers.vm)?,
+                vm_fused_s: fused,
+                vm_jit_s: jit,
+                native_best_s: native,
+                jit_fns_compiled: g.jit_fns_compiled,
+                jit_speedup_vs_fused: fused / jit,
+                jit_speedup_vs_interp: interp / jit,
+                remaining_gap_closed: log_gap_closed(fused, jit, native),
             })
         })
         .collect()
@@ -819,28 +874,29 @@ mod tests {
 
     #[test]
     fn scripts_compute_correct_values() {
+        let run = |tier: ScriptRunner, src: &str| value_to_f64(tier(src).unwrap()).unwrap();
         // Small sizes, exact expectations computed natively.
         let n = 100;
         let a = script_vec_a(n);
         let b = script_vec_b(n);
         let expect = dotaxpy::dot_naive(&a, &b);
-        assert_eq!(run_interp(&dot_script(n, false)).unwrap(), expect);
-        assert_eq!(run_vm(&dot_script(n, false)).unwrap(), expect);
-        assert_eq!(run_vm(&dot_script(n, true)).unwrap(), expect);
+        assert_eq!(run(run_source, &dot_script(n, false)), expect);
+        assert_eq!(run(run_source_vm, &dot_script(n, false)), expect);
+        assert_eq!(run(run_source_vm, &dot_script(n, true)), expect);
 
         let mut y = b.clone();
         dotaxpy::axpy_naive(2.5, &a, &mut y);
         let expect: f64 = y.iter().sum();
-        let got = run_vm(&saxpy_script(n, false)).unwrap();
+        let got = run(run_source_vm, &saxpy_script(n, false));
         assert!((got - expect).abs() < 1e-9);
 
-        assert_eq!(run_vm(&mcpi_script(1000)).unwrap(), mcpi_native(1000));
+        assert_eq!(run(run_source_vm, &mcpi_script(1000)), mcpi_native(1000));
 
         let nm = 8;
         let am = script_vec_a(nm * nm);
         let bm = script_vec_b(nm * nm);
         let expect: f64 = matmul::naive(&am, &bm, nm).iter().sum();
-        let got = run_interp(&matmul_script(nm)).unwrap();
+        let got = run(run_source, &matmul_script(nm));
         assert!((got - expect).abs() < 1e-9 * expect.abs());
     }
 
@@ -906,6 +962,42 @@ mod tests {
     }
 
     #[test]
+    fn quick_jit_study_verifies_and_orders_tiers() {
+        let rows = jit_gap(&measure_gaps(&GapConfig::quick()).unwrap());
+        assert_eq!(rows.len(), 4);
+        let kernels: Vec<&str> = rows.iter().map(|r| r.kernel.as_str()).collect();
+        assert_eq!(kernels, ["dot", "saxpy", "mc-pi", "matmul"]);
+        for r in &rows {
+            // The checksum is the shared bit pattern — 16 hex digits.
+            assert_eq!(r.checksum.len(), 16, "{}: {}", r.kernel, r.checksum);
+            assert!(
+                u64::from_str_radix(&r.checksum, 16).is_ok(),
+                "{}: {}",
+                r.kernel,
+                r.checksum
+            );
+            // Every cell measured something and the engine actually
+            // compiled code (main always tiers up at threshold 1).
+            assert!(r.vm_jit_s > 0.0, "{}", r.kernel);
+            assert!(r.jit_fns_compiled >= 1, "{}: nothing compiled", r.kernel);
+            assert!(
+                r.jit_speedup_vs_fused > 0.0 && r.jit_speedup_vs_fused.is_finite(),
+                "{}",
+                r.kernel
+            );
+            assert!(r.remaining_gap_closed.is_finite(), "{}", r.kernel);
+            // The JIT must at least beat the tree-walker outright.
+            assert!(
+                r.jit_speedup_vs_interp > 1.0,
+                "{}: jit {} !< interp {}",
+                r.kernel,
+                r.vm_jit_s,
+                r.interp_s
+            );
+        }
+    }
+
+    #[test]
     fn tier_table_is_the_single_name_source() {
         assert_eq!(Tier::ALL.len(), 8);
         let names: Vec<&str> = Tier::ALL.iter().map(|t| t.name()).collect();
@@ -941,12 +1033,15 @@ mod tests {
                 kernel: "full".into(),
                 size: "n=1".into(),
                 tiers: TierTimes {
+                    interp: tt(16.0),
                     vm: tt(8.0),
                     vm_fused: tt(4.0),
+                    vm_jit: tt(2.0),
                     native_naive: tt(2.0),
                     native_optimized: tt(1.0),
                     ..Default::default()
                 },
+                ..Default::default()
             },
             KernelGap {
                 kernel: "no-fused".into(),
@@ -956,8 +1051,18 @@ mod tests {
                     native_naive: tt(1.0),
                     ..Default::default()
                 },
+                ..Default::default()
             },
         ];
+        let jit_rows = jit_gap(&gaps);
+        assert_eq!(jit_rows.len(), 1, "kernel without script tiers is skipped");
+        let j = &jit_rows[0];
+        assert_eq!(
+            (j.jit_speedup_vs_fused, j.jit_speedup_vs_interp),
+            (2.0, 8.0)
+        );
+        // ln(4/2) / ln(4/1): the JIT closed half the fused → native gap.
+        assert!((j.remaining_gap_closed - 0.5).abs() < 1e-12);
         let rows = gap_closure(&gaps);
         assert_eq!(rows.len(), 1, "kernel without a fused tier is skipped");
         let r = &rows[0];
@@ -1008,5 +1113,13 @@ mod tests {
         assert!(verify_close("t", 1.0, 1.0, 0.0).is_ok());
         let e = verify_close("t", 1.0, 2.0, 1e-9).unwrap_err();
         assert!(matches!(e, Error::VerificationFailed(_)));
+    }
+
+    #[test]
+    fn bitwise_verification_rejects_divergence() {
+        let ok = verify_bits("k", &[("a", 1.5), ("b", 1.5)]).unwrap();
+        assert_eq!(ok, 1.5f64.to_bits());
+        let err = verify_bits("k", &[("a", 1.5), ("b", 1.5 + 1e-15)]).unwrap_err();
+        assert!(matches!(err, Error::VerificationFailed(_)), "{err}");
     }
 }

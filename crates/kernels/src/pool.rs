@@ -44,7 +44,6 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -201,36 +200,6 @@ where
     job.latch.complete(outcome);
 }
 
-/// Typed record of a panic captured from a pool job — what
-/// [`Pool::try_run`] returns instead of re-raising the panic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Best-effort message extracted from the panic payload (`&str` and
-    /// `String` payloads verbatim; anything else a placeholder).
-    pub message: String,
-}
-
-impl JobPanic {
-    fn from_payload(payload: &(dyn Any + Send)) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        JobPanic { message }
-    }
-}
-
-impl fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pool job panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for JobPanic {}
-
 /// State shared by a pool's workers and its clients.
 struct Shared {
     /// Global FIFO queue for jobs injected from outside the pool.
@@ -370,37 +339,6 @@ impl Pool {
         self.shared.inject(job.as_job_ref());
         job.latch.wait();
         job.latch.take()
-    }
-
-    /// Like [`Pool::run`], but a panic in `f` comes back as a typed
-    /// [`JobPanic`] error instead of unwinding into the caller — the
-    /// containment boundary a multi-tenant service needs so one poisoned
-    /// job cannot take down the thread driving the pool. The pool itself
-    /// survives either way (workers always catch job panics); this only
-    /// changes what the *caller* sees.
-    ///
-    /// # Errors
-    /// [`JobPanic`] carrying the panic message when `f` panics.
-    pub fn try_run<R, F>(&self, f: F) -> Result<R, JobPanic>
-    where
-        R: Send,
-        F: FnOnce() -> R + Send,
-    {
-        let here = WORKER.with(|w| w.get());
-        if let Some((shared, _)) = here {
-            if std::ptr::eq(shared, self.shared) {
-                // Inline fast path (see `run`): still catch the panic here,
-                // so the containment guarantee holds on pool threads too.
-                return catch_unwind(AssertUnwindSafe(f))
-                    .map_err(|p| JobPanic::from_payload(p.as_ref()));
-            }
-        }
-        let job = StackJob::new(f);
-        self.shared.inject(job.as_job_ref());
-        job.latch.wait();
-        job.latch
-            .take_result()
-            .map_err(|p| JobPanic::from_payload(p.as_ref()))
     }
 
     /// Fork-join `parallel_for` with adaptive splitting: the range splits
@@ -671,37 +609,6 @@ mod tests {
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert_eq!(msg, "first");
         assert_eq!(join(|| 5, || 6), (5, 6));
-    }
-
-    #[test]
-    fn try_run_surfaces_panics_as_typed_errors() {
-        let pool = sized(2);
-        // Success path is transparent.
-        assert_eq!(pool.try_run(|| 40 + 2), Ok(42));
-        // A &str panic comes back as a typed error, not an unwind.
-        let err = pool
-            .try_run(|| -> i32 { panic!("tenant bug") })
-            .unwrap_err();
-        assert_eq!(err.message, "tenant bug");
-        assert!(err.to_string().contains("tenant bug"));
-        // A String panic payload is preserved too.
-        let err = pool
-            .try_run(|| -> i32 { panic!("job {} failed", 7) })
-            .unwrap_err();
-        assert_eq!(err.message, "job 7 failed");
-        // The pool is fully usable afterwards.
-        assert_eq!(pool.try_run(|| 1 + 1), Ok(2));
-        assert_eq!(pool.run(|| 9), 9);
-    }
-
-    #[test]
-    fn try_run_catches_panics_on_the_inline_path_too() {
-        // Called from one of the pool's own workers, try_run executes
-        // inline — the panic must still be contained.
-        let pool = sized(1);
-        let out = pool.run(|| pool.try_run(|| -> u32 { panic!("inner") }));
-        assert_eq!(out.unwrap_err().message, "inner");
-        assert_eq!(pool.run(|| 5), 5);
     }
 
     #[test]

@@ -70,8 +70,7 @@ pub use error::{Error, Result};
 pub use value::Value;
 
 /// Like [`run_source_vm`], but runs the constant-folding optimizer between
-/// parsing and compilation (the tier the `ablation_minilang` bench
-/// compares).
+/// parsing and compilation.
 ///
 /// # Errors
 /// Lexing, parsing, compilation, or runtime errors.
@@ -132,6 +131,15 @@ pub fn run_source_vm_fused(src: &str) -> Result<Value> {
 /// # Errors
 /// Lexing, parsing, compilation, or runtime errors.
 pub fn run_source_vm_jit(src: &str) -> Result<Value> {
+    run_source_vm_jit_counted(src).map(|(value, _)| value)
+}
+
+/// Like [`run_source_vm_jit`], and also returns how many functions the JIT
+/// compiled during the run.
+///
+/// # Errors
+/// Lexing, parsing, compilation, or runtime errors.
+pub fn run_source_vm_jit_counted(src: &str) -> Result<(Value, u32)> {
     let program = parser::parse(src)?;
     let compiled = bytecode::compile(&program)?;
     let facts = absint::analyze(&program).facts;
@@ -139,7 +147,8 @@ pub fn run_source_vm_jit(src: &str) -> Result<Value> {
         peephole::optimize_with_facts(&compiled, peephole::Options::default(), Some(&facts));
     let engine = jit::Jit::new(&fused, jit::JitConfig::default(), Some(&facts));
     let mut m = vm::Vm::new();
-    m.run_jit(&fused, &engine)
+    let value = m.run_jit(&fused, &engine)?;
+    Ok((value, engine.stats().compiled()))
 }
 
 #[cfg(test)]

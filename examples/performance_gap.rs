@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         GapConfig::default()
     };
     eprintln!(
-        "measuring {} sizes on {} threads (this runs each kernel through six tiers)...",
+        "measuring {} sizes on {} threads (this runs each kernel through eight tiers)...",
         if quick { "quick" } else { "full" },
         config.threads
     );
