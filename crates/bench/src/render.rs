@@ -4,7 +4,7 @@ use rcr_core::absintstudy::AbsintStudy;
 use rcr_core::colstudy::ColPoint;
 use rcr_core::compare::{DistributionShift, FieldAdoption, ItemShift, LikertShift};
 use rcr_core::experiments::{Demographics, LoadPoint, PolicyOutcome, ResiliencePoint};
-use rcr_core::lintstudy::LintStudy;
+use rcr_core::lintstudy::ClassOutcome;
 use rcr_core::memstudy::MemPoint;
 use rcr_core::perfgap::{GapClosure, JitGapRow, KernelGap, ScalingCurve, Tier};
 use rcr_core::schedstudy::SchedPoint;
@@ -135,15 +135,7 @@ pub fn e5_figure(gaps: &[KernelGap]) -> String {
                 g.kernel.as_str(),
                 E5_FIGURE_TIERS
                     .iter()
-                    .map(|&tier| {
-                        // The optimized-native bar falls back to naive for
-                        // kernels without a distinct optimized variant.
-                        let t = match tier {
-                            Tier::NativeOptimized => g.tiers.native_best_serial(),
-                            other => g.tiers.get(other),
-                        };
-                        s(t)
-                    })
+                    .map(|&tier| s(g.tiers.get(tier)))
                     .collect(),
             )
         })
@@ -331,13 +323,13 @@ const E11_TIERS: [Tier; 5] = [
 ];
 
 /// E11: the interpreter-ablation table (gap of each script tier to the
-/// best native serial implementation). Column names come from
+/// faster serial native tier). Column names come from
 /// [`Tier::name`], the single tier-name table.
 pub fn e11_table(gaps: &[KernelGap]) -> Table {
     let mut headers = vec!["kernel".to_owned()];
     headers.extend(E11_TIERS.iter().map(|t| format!("{} gap", t.name())));
     let mut t = Table::new(headers)
-        .title("Table 6: slowdown vs optimized native, by interpreter tier".to_owned());
+        .title("Table 6: slowdown vs best serial native, by interpreter tier".to_owned());
     for g in gaps {
         let native = g
             .tiers
@@ -746,30 +738,23 @@ pub fn e14_table(points: &[ResiliencePoint]) -> Table {
     t
 }
 
-/// E15: per-class detection-rate bars for the defect-injection study.
-pub fn e15_figure(study: &LintStudy) -> String {
-    let labels: Vec<String> = study
-        .classes
+/// E15 and E20: per-class detection-rate bars of a defect-injection study.
+pub fn detection_figure(title: &str, classes: &[ClassOutcome]) -> String {
+    let labels: Vec<String> = classes
         .iter()
         .map(|c| format!("{} [{}]", c.class, c.expected_code))
         .collect();
-    let groups: Vec<(&str, Vec<f64>)> = study
-        .classes
+    let groups: Vec<(&str, Vec<f64>)> = classes
         .iter()
         .zip(&labels)
         .map(|(c, l)| (l.as_str(), vec![c.detection_rate * 100.0]))
         .collect();
-    svg::bar_chart(
-        "Table 8 figure: lint detection rate by injected defect class",
-        "detection rate (%)",
-        &["detected"],
-        &groups,
-        false,
-    )
+    svg::bar_chart(title, "detection rate (%)", &["detected"], &groups, false)
 }
 
-/// E15: Table 8 — detection per defect class plus the false-positive probe.
-pub fn e15_table(study: &LintStudy) -> Table {
+/// E15 and E20 (Tables 8 and 10): detection per defect class of a
+/// defect-injection study.
+pub fn detection_table(title: &str, classes: &[ClassOutcome]) -> Table {
     let mut t = Table::new([
         "defect class",
         "expected",
@@ -778,48 +763,8 @@ pub fn e15_table(study: &LintStudy) -> Table {
         "rate",
         "diags/mutant",
     ])
-    .title(format!(
-        "Table 8: static-analysis detection of seeded defects \
-         (clean corpus: {} scripts, {} false positives)",
-        study.n_clean, study.clean_with_findings
-    ));
-    for c in &study.classes {
-        t.row([
-            c.class.clone(),
-            c.expected_code.clone(),
-            c.n.to_string(),
-            c.detected.to_string(),
-            fmt::pct(c.detection_rate),
-            format!("{:.1}", c.mean_diagnostics),
-        ]);
-    }
-    t
-}
-
-/// E20: Table 10 — detection per abstract-interpretation defect class,
-/// with the false-positive probe and the proved-fact density in the title.
-pub fn e20_table(study: &AbsintStudy) -> Table {
-    let d = &study.density;
-    let mut t = Table::new([
-        "defect class",
-        "expected",
-        "mutants",
-        "detected",
-        "rate",
-        "diags/mutant",
-    ])
-    .title(format!(
-        "Table 10: abstract-interpretation detection of seeded defects \
-         (clean corpus: {} scripts, {} false positives; proofs: {}/{} \
-         finite-cost fns, {} farray returns, {} typed main vars)",
-        study.n_clean,
-        study.clean_with_findings,
-        d.finite_cost_functions,
-        d.n_functions,
-        d.float_array_proofs,
-        fmt::pct(d.typed_main_var_fraction),
-    ));
-    for c in &study.classes {
+    .title(title.to_owned());
+    for c in classes {
         t.row([
             c.class.clone(),
             c.expected_code.clone(),
@@ -864,28 +809,6 @@ pub fn e20_admission_table(study: &AbsintStudy) -> Table {
         ]);
     }
     t
-}
-
-/// E20: per-class detection-rate bars (the Table 10 figure).
-pub fn e20_figure(study: &AbsintStudy) -> String {
-    let labels: Vec<String> = study
-        .classes
-        .iter()
-        .map(|c| format!("{} [{}]", c.class, c.expected_code))
-        .collect();
-    let groups: Vec<(&str, Vec<f64>)> = study
-        .classes
-        .iter()
-        .zip(&labels)
-        .map(|(c, l)| (l.as_str(), vec![c.detection_rate * 100.0]))
-        .collect();
-    svg::bar_chart(
-        "Table 10 figure: abstract-interpretation detection rate by defect class",
-        "detection rate (%)",
-        &["detected"],
-        &groups,
-        false,
-    )
 }
 
 /// E21: Figure 11 data — the columnar scaling study, one row per
@@ -1039,13 +962,13 @@ mod tests {
     #[test]
     fn lint_study_outputs_render() {
         let study = rcr_core::lintstudy::run_study(MASTER_SEED, 8).unwrap();
-        let fig = e15_figure(&study);
-        assert!(fig.contains("<svg") && fig.contains("W001"));
-        let t = e15_table(&study);
+        let fig = detection_figure("Table 8 figure", &study.classes);
+        assert!(fig.contains("<svg") && fig.contains("Table 8 figure") && fig.contains("W001"));
+        let t = detection_table("Table 8", &study.classes);
         assert_eq!(t.n_rows(), 5);
         let ascii = t.render_ascii();
+        assert!(ascii.contains("Table 8"));
         assert!(ascii.contains("dropped initialization") && ascii.contains("W006"));
-        assert!(ascii.contains("0 false positives"));
     }
 
     #[test]
@@ -1155,17 +1078,15 @@ mod tests {
     #[test]
     fn absint_study_outputs_render() {
         let study = rcr_core::absintstudy::run_study(MASTER_SEED, 6).unwrap();
-        let t = e20_table(&study);
+        let t = detection_table("Table 10", &study.classes);
         assert_eq!(t.n_rows(), 5);
         let ascii = t.render_ascii();
         assert!(ascii.contains("provably-zero divisor") && ascii.contains("W009"));
-        assert!(ascii.contains("0 false positives"));
-        assert!(ascii.contains("farray returns"));
         let t = e20_admission_table(&study);
         assert_eq!(t.n_rows(), 2);
         let ascii = t.render_ascii();
         assert!(ascii.contains("static-admission") && ascii.contains("runtime-only"));
-        let fig = e20_figure(&study);
+        let fig = detection_figure("Table 10 figure", &study.classes);
         assert!(fig.contains("<svg") && fig.contains("W012"));
     }
 

@@ -253,8 +253,22 @@ pub const STUDIES: [Study; 23] = [
         title: "Static-analysis defect detection (seeded injection)",
         run: |ctx, emit| {
             let study = lintstudy::run_study(ctx.seed, 24)?;
-            emit.table("lint_detection", &render::e15_table(&study));
-            emit.figure("lint_detection", &render::e15_figure(&study));
+            let title = format!(
+                "Table 8: static-analysis detection of seeded defects \
+                 (clean corpus: {} scripts, {} false positives)",
+                study.n_clean, study.clean_with_findings
+            );
+            emit.table(
+                "lint_detection",
+                &render::detection_table(&title, &study.classes),
+            );
+            emit.figure(
+                "lint_detection",
+                &render::detection_figure(
+                    "Table 8 figure: lint detection rate by injected defect class",
+                    &study.classes,
+                ),
+            );
             emit.json("lint_detection", &study);
             Ok(())
         },
@@ -317,9 +331,27 @@ pub const STUDIES: [Study; 23] = [
         title: "Abstract interpretation: proofs, defect detection, static admission",
         run: |ctx, emit| {
             let study = absintstudy::run_study(ctx.seed, if ctx.gap.quick { 8 } else { 24 })?;
-            emit.table("absint", &render::e20_table(&study));
+            let d = &study.density;
+            let title = format!(
+                "Table 10: abstract-interpretation detection of seeded defects \
+                 (clean corpus: {} scripts, {} false positives; proofs: {}/{} \
+                 finite-cost fns, {} farray returns, {} typed main vars)",
+                study.n_clean,
+                study.clean_with_findings,
+                d.finite_cost_functions,
+                d.n_functions,
+                d.float_array_proofs,
+                rcr_report::fmt::pct(d.typed_main_var_fraction),
+            );
+            emit.table("absint", &render::detection_table(&title, &study.classes));
             emit.table("admission", &render::e20_admission_table(&study));
-            emit.figure("absint", &render::e20_figure(&study));
+            emit.figure(
+                "absint",
+                &render::detection_figure(
+                    "Table 10 figure: abstract-interpretation detection rate by defect class",
+                    &study.classes,
+                ),
+            );
             emit.json("absint", &study);
             emit.bench(ctx.gap.quick, summary::summarize_e20(&study));
             Ok(())

@@ -22,9 +22,11 @@
 //!    a compile, while the off-arm burns quota discovering the same fact
 //!    at runtime.
 //!
-//! As in E15, the unmutated corpus is the false-positive probe: every
-//! clean script must lint silent under all twelve warnings *and* execute
-//! successfully. Everything derives from one seed.
+//! Detection runs E15's protocol ([`lintstudy::run_protocol`]), so the
+//! unmutated corpus is the false-positive probe: every clean script must
+//! lint silent under all twelve warnings *and* execute successfully. The
+//! probe's analyses of the clean scripts also feed the fact density.
+//! Everything derives from one seed.
 
 use std::time::Instant;
 
@@ -32,12 +34,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
+use rcr_minilang::absint;
 use rcr_minilang::diagnostics::Code;
-use rcr_minilang::{absint, lint, parser, run_source_vm_optimized};
 use rcr_serve::{
     BackoffPolicy, JobError, JobSpec, Outcome, Rejected, Service, ServiceConfig, TenantQuota,
 };
 
+use crate::lintstudy::{self, ClassOutcome, Defect, LintStudy};
 use crate::{Error, Result};
 
 /// The five injected defect classes, one per abstract-interpretation lint.
@@ -92,27 +95,19 @@ impl DefectClass {
     }
 }
 
-/// Per-class detection outcome (one Table 10 row).
-#[derive(Debug, Clone, Serialize)]
-pub struct ClassOutcome {
-    /// Defect class label.
-    pub class: String,
-    /// Expected warning code id, e.g. `"W009"`.
-    pub expected_code: String,
-    /// Mutants generated.
-    pub n: usize,
-    /// Mutants where the expected code fired.
-    pub detected: usize,
-    /// `detected / n`.
-    pub detection_rate: f64,
-    /// Mean diagnostics per mutant (noise level of the report).
-    pub mean_diagnostics: f64,
+impl Defect for DefectClass {
+    fn name(self) -> &'static str {
+        DefectClass::name(self)
+    }
+    fn expected(self) -> Code {
+        DefectClass::expected(self)
+    }
 }
 
 /// Density of facts the fixpoint proves about the *clean* corpus — the
 /// analyses downstream consumers (cost report, peephole fuser, static
 /// admission) actually read.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct FactDensity {
     /// Clean scripts analyzed.
     pub n_scripts: usize,
@@ -266,44 +261,31 @@ fn template_pipeline(rng: &mut StdRng, index: usize) -> String {
     )
 }
 
-/// Analyzes the clean corpus and accumulates proved-fact density.
-fn measure_density(seed: u64, n_scripts: usize) -> Result<FactDensity> {
-    let mut d = FactDensity {
-        n_scripts,
-        n_functions: 0,
-        finite_cost_functions: 0,
-        finite_cost_fraction: 0.0,
-        float_array_proofs: 0,
-        main_vars: 0,
-        typed_main_vars: 0,
-        typed_main_var_fraction: 0.0,
-        finite_program_cost: 0,
-    };
-    for i in 0..n_scripts {
-        let src = generate_script(seed, i, None);
-        let program = parser::parse(&src)
-            .map_err(|e| Error::Script(format!("clean script {i} failed to parse: {e}")))?;
-        let analysis = absint::analyze(&program);
-        d.n_functions += analysis.functions.len();
-        d.finite_cost_functions += analysis
+impl FactDensity {
+    /// Adds one clean script's analysis to the counts.
+    fn absorb(&mut self, analysis: &absint::Analysis) {
+        self.n_scripts += 1;
+        self.n_functions += analysis.functions.len();
+        self.finite_cost_functions += analysis
             .functions
             .iter()
             .filter(|f| f.cost.hi.is_some())
             .count();
-        d.float_array_proofs += analysis.facts.n_proven();
-        d.main_vars += analysis.main_vars.len();
-        d.typed_main_vars += analysis
+        self.float_array_proofs += analysis.facts.n_proven();
+        self.main_vars += analysis.main_vars.len();
+        self.typed_main_vars += analysis
             .main_vars
             .iter()
             .filter(|(_, v)| v.types != absint::TypeSet::ANY)
             .count();
         if analysis.cost.program.hi.is_some() {
-            d.finite_program_cost += 1;
+            self.finite_program_cost += 1;
         }
+        self.finite_cost_fraction =
+            self.finite_cost_functions as f64 / (self.n_functions as f64).max(1.0);
+        self.typed_main_var_fraction =
+            self.typed_main_vars as f64 / (self.main_vars as f64).max(1.0);
     }
-    d.finite_cost_fraction = d.finite_cost_functions as f64 / (d.n_functions as f64).max(1.0);
-    d.typed_main_var_fraction = d.typed_main_vars as f64 / (d.main_vars as f64).max(1.0);
-    Ok(d)
 }
 
 /// Tenants in the admission arms.
@@ -363,7 +345,6 @@ fn run_admission_arm(
         faults: rcr_cluster::faults::FaultPlan::none(0xE20),
         fuel_slice: 10_000,
         static_admission,
-        jit: true,
         program_cache_capacity: rcr_serve::PROGRAM_CACHE_CAPACITY,
     });
 
@@ -463,58 +444,29 @@ fn run_admission_arm(
     })
 }
 
-/// Runs the full study: the false-positive probe over the clean corpus,
-/// `n_per_class` mutants per defect class scored against the expected
-/// warning, proved-fact density, and both admission arms (sized from
+/// Runs the full study: E15's [`lintstudy::run_protocol`] over this
+/// module's corpus and defect classes, with the proved-fact density read
+/// from the clean scripts' analyses, then both admission arms (sized from
 /// `n_per_class`). The cross-arm claims — static admission sheds every
 /// infeasible job, compiles strictly fewer programs, and holds goodput at
 /// least as high — are verified here, not just reported.
 ///
 /// # Errors
-/// [`Error::Script`] when a generated clean script fails to parse, lint
-/// non-silent, or fails to run; [`Error::VerificationFailed`] when an
-/// admission arm breaks its contract.
+/// What [`lintstudy::run_protocol`] returns;
+/// [`Error::VerificationFailed`] when an admission arm breaks its contract.
 pub fn run_study(seed: u64, n_per_class: usize) -> Result<AbsintStudy> {
-    let mut clean_with_findings = 0usize;
-    for i in 0..n_per_class {
-        let src = generate_script(seed, i, None);
-        let diags = lint::lint_source(&src)
-            .map_err(|e| Error::Script(format!("clean script {i} failed to parse: {e}")))?;
-        if !diags.is_empty() {
-            clean_with_findings += 1;
-        }
-        run_source_vm_optimized(&src)
-            .map_err(|e| Error::Script(format!("clean script {i} failed to run: {e}")))?;
-    }
-
-    let mut classes = Vec::new();
-    for class in DefectClass::ALL {
-        let mut detected = 0usize;
-        let mut total_diags = 0usize;
-        for i in 0..n_per_class {
-            let src = generate_script(seed, i, Some(class));
-            let diags = lint::lint_source(&src).map_err(|e| {
-                Error::Script(format!(
-                    "mutant {i} ({}) failed to parse: {e}",
-                    class.name()
-                ))
-            })?;
-            total_diags += diags.len();
-            if diags.iter().any(|d| d.code == class.expected()) {
-                detected += 1;
-            }
-        }
-        classes.push(ClassOutcome {
-            class: class.name().to_owned(),
-            expected_code: class.expected().id().to_owned(),
-            n: n_per_class,
-            detected,
-            detection_rate: detected as f64 / n_per_class.max(1) as f64,
-            mean_diagnostics: total_diags as f64 / n_per_class.max(1) as f64,
-        });
-    }
-
-    let density = measure_density(seed, n_per_class)?;
+    let mut density = FactDensity::default();
+    let LintStudy {
+        n_clean,
+        clean_with_findings,
+        false_positive_rate,
+        classes,
+    } = lintstudy::run_protocol(
+        &DefectClass::ALL,
+        n_per_class,
+        |i, defect| generate_script(seed, i, defect),
+        |analysis| density.absorb(analysis),
+    )?;
 
     let n_infeasible = n_per_class.max(4);
     let n_feasible = 3 * n_infeasible;
@@ -547,9 +499,9 @@ pub fn run_study(seed: u64, n_per_class: usize) -> Result<AbsintStudy> {
     }
 
     Ok(AbsintStudy {
-        n_clean: n_per_class,
+        n_clean,
         clean_with_findings,
-        false_positive_rate: clean_with_findings as f64 / n_per_class.max(1) as f64,
+        false_positive_rate,
         classes,
         density,
         admission: vec![on, off],

@@ -33,6 +33,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use rcr_stats::descriptive::median;
 use rcr_survey::canonical as q;
 use rcr_survey::columnar::{ColumnarCohort, Engine, Tier};
 use rcr_survey::query::{count_filtered, Filter};
@@ -287,16 +288,6 @@ fn reps_for(n: usize, quick: bool) -> usize {
     }
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let m = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[m]
-    } else {
-        0.5 * (xs[m - 1] + xs[m])
-    }
-}
-
 /// Runs the full E21 sweep: `sizes(quick) × TIERS` verified cells.
 ///
 /// # Errors
@@ -334,7 +325,7 @@ pub fn run(seed: u64, config: &GapConfig) -> Result<Vec<ColPoint>> {
             verify_against_cohort_api(&cohort, &ctx, &row_agg)?;
         }
         let row_checksum = row_agg.checksum();
-        let row_median = median(rep_times).max(1e-12);
+        let row_median = median(&rep_times)?.max(1e-12);
         out.push(ColPoint {
             rows: n,
             tier: "row".into(),
@@ -360,7 +351,7 @@ pub fn run(seed: u64, config: &GapConfig) -> Result<Vec<ColPoint>> {
                 times.push(t0.elapsed().as_secs_f64());
                 debug_assert_eq!(timed.q1_count, agg.q1_count);
             }
-            let m = median(times).max(1e-12);
+            let m = median(&times)?.max(1e-12);
             out.push(ColPoint {
                 rows: n,
                 tier: engine.tier.name().into(),

@@ -396,21 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn e15_detects_structural_defects_with_no_false_positives() {
-        let study = crate::lintstudy::run_study(MASTER_SEED, 10).unwrap();
-        assert_eq!(study.clean_with_findings, 0);
-        assert_eq!(study.classes.len(), 5);
-        for c in &study.classes {
-            assert!(
-                c.detection_rate > 0.5,
-                "{}: detection rate {} too low",
-                c.class,
-                c.detection_rate
-            );
-        }
-    }
-
-    #[test]
     fn e13_theme_rows() {
         let rows = ex().e13_theme_shift().unwrap();
         assert_eq!(rows.len(), 7);

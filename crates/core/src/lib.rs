@@ -14,7 +14,9 @@
 //!   as native Rust (naive → optimized → parallel), measured once and
 //!   read by E5, E11, E16 and E22, plus thread-scaling with Amdahl fits;
 //! * [`lintstudy`] — the defect-injection study: seeded mutants of a clean
-//!   script corpus scored against the `rsc --check` static analyzer;
+//!   script corpus scored against the `rsc --check` static analyzer, by
+//!   the one detection protocol ([`lintstudy::run_protocol`]) E15 and E20
+//!   share;
 //! * [`schedstudy`] — the scheduler ablation: spawn-per-call runtimes vs
 //!   the persistent work-stealing pool on regular, irregular, and
 //!   fine-grained workloads;
@@ -24,9 +26,10 @@
 //! * [`servestudy`] — the overload study: the `rcr-serve` execution
 //!   service driven open-loop past saturation under a fault ablation, with
 //!   its robustness contract verified before any number is reported;
-//! * [`absintstudy`] — the abstract-interpretation study: detection of
-//!   interval/shape/cost defects, proved-fact density over a clean corpus,
-//!   and the static-admission arm of the serving story;
+//! * [`absintstudy`] — the abstract-interpretation study: E15's protocol
+//!   run on interval/shape/cost defects, proved-fact density read from the
+//!   protocol's analyses of the clean corpus, and the static-admission arm
+//!   of the serving story;
 //! * [`colstudy`] — the columnar analytics scaling study: the survey
 //!   query suite on 10⁴–10⁷-respondent populations under the row engine
 //!   and the serial/parallel columnar tiers, every cell verified

@@ -16,8 +16,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
+use rcr_minilang::absint::{self, Analysis};
 use rcr_minilang::diagnostics::Code;
-use rcr_minilang::{lint, run_source_vm_optimized};
+use rcr_minilang::vm::Vm;
+use rcr_minilang::{bytecode, lint, optimize, parser};
 
 use crate::{Error, Result};
 
@@ -72,7 +74,7 @@ impl DefectClass {
     }
 }
 
-/// Per-class study outcome (one Table 8 row).
+/// Per-class detection outcome (one Table 8 or Table 10 row).
 #[derive(Debug, Clone, Serialize)]
 pub struct ClassOutcome {
     /// Defect class label.
@@ -89,7 +91,8 @@ pub struct ClassOutcome {
     pub mean_diagnostics: f64,
 }
 
-/// Full E15 result: the false-positive probe plus one row per class.
+/// The result of [`run_protocol`]: the false-positive probe plus one row
+/// per class (all of E15).
 #[derive(Debug, Clone, Serialize)]
 pub struct LintStudy {
     /// Clean scripts linted.
@@ -234,33 +237,73 @@ fn template_array(rng: &mut StdRng, index: usize, defect: Option<DefectClass>) -
     format!("{before}for k in range(0, {len}) {{\n{fill}}}\n{after}{sum}{avg}avg")
 }
 
-/// Runs the full study: lints the clean corpus (false-positive probe, and
-/// every clean script must also *execute* cleanly), then lints `n_per_class`
-/// mutants per defect class and scores detection against the expected code.
+/// A study's defect-class enum, as [`run_protocol`] reads it.
+pub trait Defect: Copy {
+    /// Row label.
+    fn name(self) -> &'static str;
+    /// The warning code that counts as detecting this class.
+    fn expected(self) -> Code;
+}
+
+impl Defect for DefectClass {
+    fn name(self) -> &'static str {
+        DefectClass::name(self)
+    }
+    fn expected(self) -> Code {
+        DefectClass::expected(self)
+    }
+}
+
+/// Runs the full study: [`run_protocol`] over this module's corpus and
+/// defect classes.
 ///
 /// # Errors
-/// [`Error::Script`] when a generated clean script fails to parse, lint
-/// non-silent, or fails to run — any of which would invalidate the rates.
+/// What [`run_protocol`] returns.
 pub fn run_study(seed: u64, n_per_class: usize) -> Result<LintStudy> {
+    run_protocol(
+        &DefectClass::ALL,
+        n_per_class,
+        |i, defect| generate_script(seed, i, defect),
+        |_| {},
+    )
+}
+
+/// The defect-injection protocol E15 and E20 share. Each clean script
+/// `generate(i, None)`, `i < n_per_class`, is parsed and analyzed once,
+/// linted with that analysis (any finding counts as a false positive),
+/// handed to `on_clean`, and executed. Then `n_per_class` mutants of each
+/// class are linted and scored against the class's expected code.
+///
+/// # Errors
+/// [`Error::Script`] when a clean script fails to parse or to run, or a
+/// mutant fails to parse — any of which would invalidate the rates.
+pub fn run_protocol<C: Defect>(
+    classes: &[C],
+    n_per_class: usize,
+    generate: impl Fn(usize, Option<C>) -> String,
+    mut on_clean: impl FnMut(&Analysis),
+) -> Result<LintStudy> {
     let mut clean_with_findings = 0usize;
     for i in 0..n_per_class {
-        let src = generate_script(seed, i, None);
-        let diags = lint::lint_source(&src)
+        let program = parser::parse(&generate(i, None))
             .map_err(|e| Error::Script(format!("clean script {i} failed to parse: {e}")))?;
-        if !diags.is_empty() {
+        let analysis = absint::analyze(&program);
+        if !lint::lint_with_analysis(&program, &analysis).is_empty() {
             clean_with_findings += 1;
         }
-        run_source_vm_optimized(&src)
+        on_clean(&analysis);
+        bytecode::compile(&optimize::optimize(&program))
+            .and_then(|code| Vm::new().run(&code))
             .map_err(|e| Error::Script(format!("clean script {i} failed to run: {e}")))?;
     }
 
-    let mut classes = Vec::new();
-    for class in DefectClass::ALL {
+    let per = |count: usize| count as f64 / n_per_class.max(1) as f64;
+    let mut outcomes = Vec::new();
+    for &class in classes {
         let mut detected = 0usize;
         let mut total_diags = 0usize;
         for i in 0..n_per_class {
-            let src = generate_script(seed, i, Some(class));
-            let diags = lint::lint_source(&src).map_err(|e| {
+            let diags = lint::lint_source(&generate(i, Some(class))).map_err(|e| {
                 Error::Script(format!(
                     "mutant {i} ({}) failed to parse: {e}",
                     class.name()
@@ -271,21 +314,21 @@ pub fn run_study(seed: u64, n_per_class: usize) -> Result<LintStudy> {
                 detected += 1;
             }
         }
-        classes.push(ClassOutcome {
+        outcomes.push(ClassOutcome {
             class: class.name().to_owned(),
             expected_code: class.expected().id().to_owned(),
             n: n_per_class,
             detected,
-            detection_rate: detected as f64 / n_per_class.max(1) as f64,
-            mean_diagnostics: total_diags as f64 / n_per_class.max(1) as f64,
+            detection_rate: per(detected),
+            mean_diagnostics: per(total_diags),
         });
     }
 
     Ok(LintStudy {
         n_clean: n_per_class,
         clean_with_findings,
-        false_positive_rate: clean_with_findings as f64 / n_per_class.max(1) as f64,
-        classes,
+        false_positive_rate: per(clean_with_findings),
+        classes: outcomes,
     })
 }
 
@@ -331,6 +374,45 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
+    }
+
+    #[test]
+    fn protocol_names_the_mutant_that_fails_to_parse() {
+        let err = run_protocol(
+            &DefectClass::ALL,
+            3,
+            |i, defect| match defect {
+                Some(DefectClass::WrongArity) if i == 2 => "let = ;".to_owned(),
+                _ => generate_script(MASTER_SEED, i, defect),
+            },
+            |_| {},
+        )
+        .unwrap_err();
+        match err {
+            Error::Script(msg) => assert!(
+                msg.starts_with("mutant 2 (wrong arity) failed to parse"),
+                "{msg}"
+            ),
+            other => panic!("expected Error::Script, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn protocol_counts_clean_scripts_with_findings() {
+        // Dead-branch mutants run to completion but carry W004, so as the
+        // "clean" corpus every one of them is a false positive.
+        let mut analyzed = 0;
+        let study = run_protocol(
+            &DefectClass::ALL,
+            6,
+            |i, defect| generate_script(MASTER_SEED, i, defect.or(Some(DefectClass::DeadBranch))),
+            |_| analyzed += 1,
+        )
+        .unwrap();
+        assert_eq!(analyzed, 6);
+        assert_eq!(study.n_clean, 6);
+        assert_eq!(study.clean_with_findings, 6);
+        assert_eq!(study.false_positive_rate, 1.0);
     }
 
     #[test]

@@ -171,10 +171,13 @@ impl TierTimes {
         }
     }
 
-    /// The faster of the two serial native tiers (optimized when measured,
-    /// naive otherwise) — the denominator of the E16 gap-closure metric.
+    /// The faster (by median) of the measured serial native tiers — the
+    /// denominator of the E11 gaps and the E16 and E22 closure metrics.
     pub fn native_best_serial(&self) -> Option<TierTime> {
-        self.native_optimized.or(self.native_naive)
+        [self.native_optimized, self.native_naive]
+            .into_iter()
+            .flatten()
+            .min_by(|a, b| a.median_s.total_cmp(&b.median_s))
     }
 }
 
@@ -1021,6 +1024,34 @@ mod tests {
     }
 
     #[test]
+    fn native_best_serial_is_the_faster_serial_tier() {
+        let tt = |s: f64| {
+            Some(TierTime {
+                median_s: s,
+                runs: 1,
+            })
+        };
+        let naive_faster = TierTimes {
+            native_naive: tt(0.811),
+            native_optimized: tt(0.861),
+            native_parallel: tt(0.1),
+            ..Default::default()
+        };
+        assert_eq!(naive_faster.native_best_serial(), tt(0.811));
+        let optimized_faster = TierTimes {
+            native_naive: tt(2.0),
+            native_optimized: tt(1.0),
+            ..Default::default()
+        };
+        assert_eq!(optimized_faster.native_best_serial(), tt(1.0));
+        let naive_only = TierTimes {
+            native_naive: tt(2.0),
+            ..Default::default()
+        };
+        assert_eq!(naive_only.native_best_serial(), tt(2.0));
+    }
+
+    #[test]
     fn gap_closure_handles_missing_and_degenerate_tiers() {
         let tt = |s: f64| {
             Some(TierTime {
@@ -1074,7 +1105,7 @@ mod tests {
             "{}",
             r.closure_frac
         );
-        assert_eq!(r.native_best_s, 1.0, "optimized preferred over naive");
+        assert_eq!(r.native_best_s, 1.0, "the faster serial native tier");
     }
 
     #[test]

@@ -146,7 +146,6 @@ fn base_config(executors: usize, deadline: Duration) -> ServiceConfig {
         fuel_slice: 100_000,
         static_admission: true,
         program_cache_capacity: rcr_serve::PROGRAM_CACHE_CAPACITY,
-        jit: true,
     }
 }
 

@@ -39,6 +39,7 @@ use rcr_cluster::sched::Policy;
 use rcr_cluster::swf::{from_swf, stream_jobs, to_swf};
 use rcr_cluster::windowed::{WindowedSim, WindowedSpec};
 use rcr_cluster::workload::{generate_checked, WorkloadSpec};
+use rcr_stats::descriptive::median;
 
 use crate::perfgap::GapConfig;
 use crate::{Error, Result};
@@ -101,16 +102,6 @@ fn reps_for(total_jobs: usize, quick: bool) -> usize {
         3
     } else {
         2
-    }
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let m = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[m]
-    } else {
-        0.5 * (xs[m - 1] + xs[m])
     }
 }
 
@@ -239,7 +230,7 @@ pub fn run(seed: u64, config: &GapConfig) -> Result<Vec<SimPoint>> {
                     "E23 {arm}: materialized replay diverges from the SWF stream"
                 )));
             }
-            let m = median(times).max(1e-12);
+            let m = median(&times)?.max(1e-12);
             if arm == ARMS[0] {
                 heap_median = m;
             }

@@ -17,52 +17,21 @@
 //! A program that terminates also refutes `lo == u64::MAX` (the divergence
 //! proof), so that is asserted too.
 
+mod common;
+
+use common::{small_expr, stmts_over};
 use proptest::prelude::*;
 use rcr_minilang::{absint, bytecode, interp, parser, peephole, run_source, vm, Error, Value};
-
-/// Strategy: a small arithmetic expression over the mutable slots `v0`–`v3`.
-fn small_expr() -> impl Strategy<Value = String> {
-    let leaf = prop_oneof![
-        (-9i32..10).prop_map(|n| n.to_string()),
-        (0usize..4).prop_map(|k| format!("v{k}")),
-    ];
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        (
-            inner.clone(),
-            inner,
-            prop_oneof![Just("+"), Just("-"), Just("*")],
-        )
-            .prop_map(|(l, r, op)| format!("({l} {op} {r})"))
-    })
-}
 
 /// Strategy: statements covering the shapes the lattice reasons about —
 /// scalar assignment, guarded branches, bounded `for` loops, and stores
 /// into the predeclared float array `arr` (always in bounds, so the clean
 /// program carries no diagnostics by construction).
 fn stmt_strategy() -> impl Strategy<Value = String> {
-    let assign = prop_oneof![
+    stmts_over(prop_oneof![
         (0usize..4, small_expr()).prop_map(|(k, e)| format!("v{k} = {e};")),
         (0usize..8, small_expr()).prop_map(|(k, e)| format!("arr[{k}] = {e};")),
-    ];
-    assign.prop_recursive(3, 16, 3, |inner| {
-        prop_oneof![
-            (
-                small_expr(),
-                proptest::collection::vec(inner.clone(), 1..3),
-                proptest::collection::vec(inner.clone(), 0..3),
-            )
-                .prop_map(|(c, t, e)| {
-                    format!(
-                        "if ({c} % 2) == 0 {{ {} }} else {{ {} }}",
-                        t.join(" "),
-                        e.join(" ")
-                    )
-                }),
-            (1u32..5, proptest::collection::vec(inner, 1..3))
-                .prop_map(|(b, body)| format!("for i in range(0, {b}) {{ {} }}", body.join(" "))),
-        ]
-    })
+    ])
 }
 
 /// True when the abstraction `a` admits the concrete value `v`. NaN is

@@ -3,6 +3,9 @@
 //! crate offers, because the E5/E11 timing claims are only meaningful if
 //! every tier computes the same thing.
 
+mod common;
+
+use common::{small_expr, stmts_over};
 use proptest::prelude::*;
 use rcr_minilang::{
     absint, bytecode, jit, parser, peephole, run_source, run_source_vm, run_source_vm_fused,
@@ -59,22 +62,6 @@ fn expr_strategy() -> impl Strategy<Value = String> {
     })
 }
 
-/// Strategy: a small arithmetic expression over the mutable slots `v0`–`v3`.
-fn small_expr() -> impl Strategy<Value = String> {
-    let leaf = prop_oneof![
-        (-9i32..10).prop_map(|n| n.to_string()),
-        (0usize..4).prop_map(|k| format!("v{k}")),
-    ];
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        (
-            inner.clone(),
-            inner,
-            prop_oneof![Just("+"), Just("-"), Just("*")],
-        )
-            .prop_map(|(l, r, op)| format!("({l} {op} {r})"))
-    })
-}
-
 /// Strategy: a random *statement* — assignments at the leaves, `if`/`else`
 /// and bounded `for` loops above them — exercising control flow, scoping,
 /// and jump compilation rather than just expression evaluation.
@@ -91,28 +78,6 @@ fn alloc_stmt_strategy() -> impl Strategy<Value = String> {
         (0usize..4, 0usize..4).prop_map(|(k, j)| format!("v{k} = v{k} + len([v{j}, {k}]);")),
         (0usize..4, 1u32..6).prop_map(|(k, n)| format!("v{k} = v{k} - len(zeros({n}));")),
     ])
-}
-
-/// `if`/`else` and bounded `for` loops over the statements `leaf` draws.
-fn stmts_over(leaf: impl Strategy<Value = String> + 'static) -> impl Strategy<Value = String> {
-    leaf.prop_recursive(3, 16, 3, |inner| {
-        prop_oneof![
-            (
-                small_expr(),
-                proptest::collection::vec(inner.clone(), 1..3),
-                proptest::collection::vec(inner.clone(), 0..3),
-            )
-                .prop_map(|(c, t, e)| {
-                    format!(
-                        "if ({c} % 2) == 0 {{ {} }} else {{ {} }}",
-                        t.join(" "),
-                        e.join(" ")
-                    )
-                }),
-            (1u32..5, proptest::collection::vec(inner, 1..3))
-                .prop_map(|(b, body)| format!("for i in range(0, {b}) {{ {} }}", body.join(" "))),
-        ]
-    })
 }
 
 /// Wraps an expression in a program that declares the free variables.

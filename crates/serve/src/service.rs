@@ -27,9 +27,10 @@
 //! to its executor, which compiles the cached front end to bytecode (once
 //! per entry) without parsing, hashing or looking the source up again.
 //!
-//! Each attempt runs on its executor thread as one VM run. The VM stops
-//! after every `fuel_slice` of fuel to let the executor check the
-//! deadline, then resumes in place, so a long job is never re-executed.
+//! Each attempt runs on its executor thread as one VM run with the JIT
+//! tier on. The VM stops after every `fuel_slice` of fuel to let the
+//! executor check the deadline, then resumes in place, so a long job is
+//! never re-executed.
 //!
 //! # Why every handle resolves (liveness)
 //!
@@ -128,11 +129,6 @@ pub struct ServiceConfig {
     /// [`crate::cache`]); keeps a long-lived service's memory flat even when
     /// tenants submit an unbounded stream of distinct programs.
     pub program_cache_capacity: usize,
-    /// Execute jobs on the register-IR JIT tier. The JIT's fuel and
-    /// memory accounting is bit-identical to the fused VM, so deadline
-    /// checks, preemption, and quota outcomes are unchanged; compiled
-    /// code is shared per artifact across workers and requests.
-    pub jit: bool,
 }
 
 impl Default for ServiceConfig {
@@ -156,7 +152,6 @@ impl Default for ServiceConfig {
             fuel_slice: 50_000,
             static_admission: true,
             program_cache_capacity: cache::DEFAULT_CAPACITY,
-            jit: true,
         }
     }
 }
@@ -720,13 +715,7 @@ fn run_attempt(
         if matches!(fault, Some(InjectedFault::WorkerCrash)) {
             panic!("injected worker crash (job {}, attempt {attempt})", job.id);
         }
-        let result = run_sliced(
-            &artifact,
-            quota,
-            deadline_at,
-            inner.config.fuel_slice,
-            inner.config.jit,
-        );
+        let result = run_sliced(&artifact, quota, deadline_at, inner.config.fuel_slice);
         if let Some(InjectedFault::SlowJob { factor }) = fault {
             // A slow worker takes `factor`× the normal duration. Sleeping
             // past the deadline is pointless (the outcome is already
@@ -774,7 +763,6 @@ fn run_sliced(
     quota: TenantQuota,
     deadline_at: Instant,
     fuel_slice: u64,
-    jit: bool,
 ) -> Result<String, JobError> {
     let fuel_quota = quota.fuel.max(1);
     let slice = fuel_slice.clamp(1, fuel_quota);
@@ -798,18 +786,13 @@ fn run_sliced(
     // (test-enforced), so the deadline checks cannot observe which tier
     // ran. Heat (compiled code) lives on the artifact and survives across
     // retries, workers, and requests.
-    let run = if jit {
-        let engine = Jit::with_shared(
-            &compiled,
-            JitConfig::default(),
-            Some(artifact.facts()),
-            artifact.jit_cache().clone(),
-        );
-        vm.run_with_refill(&compiled, Some(&engine), &mut refill)
-    } else {
-        vm.run_with_refill(&compiled, None, &mut refill)
-    };
-    match run {
+    let engine = Jit::with_shared(
+        &compiled,
+        JitConfig::default(),
+        Some(artifact.facts()),
+        artifact.jit_cache().clone(),
+    );
+    match vm.run_with_refill(&compiled, Some(&engine), &mut refill) {
         Ok(value) => Ok(value.to_string()),
         Err(Error::FuelExhausted { .. }) if past_deadline => Err(JobError::DeadlineExceeded),
         Err(Error::FuelExhausted { .. }) => Err(JobError::FuelQuotaExceeded { budget: fuel_quota }),
@@ -960,7 +943,8 @@ mod tests {
     fn runaway_script_is_preempted_at_the_deadline() {
         let mut config = quick_config();
         // Tiny slices force frequent wall-clock checks; a huge fuel quota
-        // means only the deadline can stop this script.
+        // means only the deadline can stop this script. Preemption rides on
+        // fuel slicing, which the JIT charges bit-identically to the VM.
         config.fuel_slice = 1_000;
         config.tenants = vec![TenantQuota {
             fuel: u64::MAX / 4,
@@ -980,89 +964,61 @@ mod tests {
 
     #[test]
     fn jit_preserves_every_outcome_class_of_the_vm_path() {
-        // The same job mix must produce byte-identical outcomes whether
-        // the executors run the fused VM or the JIT tier: successful
-        // output strings, typed script errors, and both quota failures.
-        // (Fuel/memory accounting is bit-identical between tiers, so the
-        // quota decisions cannot drift either.)
+        // Each job's service outcome (JIT tier, fuel in slices) must equal
+        // one fused-VM run of the same program under the same fuel and
+        // memory quota: successful output strings, typed script errors,
+        // and both quota failures.
+        let tenants = [
+            TenantQuota::default(),
+            TenantQuota {
+                fuel: 1_000,
+                memory: 1 << 20,
+            },
+            TenantQuota {
+                fuel: 5_000_000,
+                memory: 1_000,
+            },
+        ];
         let jobs: &[(usize, &str)] = &[
             (0, "fn f(x) { return x * x + 1; } f(6) + f(-6)"),
             (0, "let s = \"a\"; s + 1"),
             (1, "let s = 0; for i in range(0, 1000000) { s = s + i; } s"),
             (2, "let a = zeros(100000); len(a)"),
         ];
-        let run_all = |jit: bool| -> Vec<Outcome> {
-            let mut config = quick_config();
-            config.jit = jit;
-            config.static_admission = false;
-            config.tenants = vec![
-                TenantQuota::default(),
-                TenantQuota {
-                    fuel: 1_000,
-                    memory: 1 << 20,
-                },
-                TenantQuota {
-                    fuel: 5_000_000,
-                    memory: 1_000,
-                },
-            ];
-            let service = Service::new(config);
-            let handles: Vec<JobHandle> = jobs
-                .iter()
-                .map(|(tenant, src)| service.submit(JobSpec::new(*tenant, *src)).unwrap())
-                .collect();
-            handles.iter().map(JobHandle::wait).collect()
-        };
-        let with_vm = run_all(false);
-        let with_jit = run_all(true);
-        assert!(
-            matches!(&with_jit[0], Outcome::Completed { output, .. } if output == "74"),
-            "{:?}",
-            with_jit[0]
-        );
-        assert!(matches!(&with_jit[1], Outcome::Failed(JobError::Script(_))));
-        assert_eq!(
-            with_jit[2],
-            Outcome::Failed(JobError::FuelQuotaExceeded { budget: 1_000 })
-        );
-        assert_eq!(
-            with_jit[3],
-            Outcome::Failed(JobError::MemoryQuotaExceeded { budget: 1_000 })
-        );
-        for (i, (vm_outcome, jit_outcome)) in with_vm.iter().zip(&with_jit).enumerate() {
-            match (vm_outcome, jit_outcome) {
-                (Outcome::Completed { output: a, .. }, Outcome::Completed { output: b, .. }) => {
-                    assert_eq!(a, b, "job {i} output diverged")
-                }
-                (Outcome::Failed(a), Outcome::Failed(b)) => {
-                    assert_eq!(a, b, "job {i} error diverged");
-                }
-                other => panic!("job {i} outcome class diverged: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn jit_runaway_script_is_preempted_at_the_deadline() {
-        // Deadline preemption rides on fuel slicing; the JIT charges fuel
-        // bit-identically, so a runaway script on the JIT tier must be
-        // preempted exactly like on the VM (the deadline is the only
-        // bound the huge fuel quota leaves).
         let mut config = quick_config();
-        config.jit = true;
-        config.fuel_slice = 1_000;
-        config.tenants = vec![TenantQuota {
-            fuel: u64::MAX / 4,
-            memory: 1 << 20,
-        }];
+        config.static_admission = false;
+        config.tenants = tenants.to_vec();
         let service = Service::new(config);
-        let spin = "let s = 0; for i in range(0, 100000000) { s = s + i; } s";
-        let started = Instant::now();
-        let handle = service
-            .submit(JobSpec::new(0, spin).with_deadline(Duration::from_millis(30)))
-            .unwrap();
-        assert_eq!(handle.wait(), Outcome::Failed(JobError::DeadlineExceeded));
-        assert!(started.elapsed() < Duration::from_secs(10));
+        let handles: Vec<JobHandle> = jobs
+            .iter()
+            .map(|(tenant, src)| service.submit(JobSpec::new(*tenant, *src)).unwrap())
+            .collect();
+        let mut got = Vec::new();
+        for ((tenant, src), handle) in jobs.iter().zip(&handles) {
+            let quota = tenants[*tenant];
+            let compiled = ProgramArtifact::compile(src).unwrap().instantiate();
+            let vm_outcome =
+                match Vm::with_limits(Some(quota.fuel), Some(quota.memory)).run(&compiled) {
+                    Ok(value) => Ok(value.to_string()),
+                    Err(Error::FuelExhausted { .. }) => {
+                        Err(JobError::FuelQuotaExceeded { budget: quota.fuel })
+                    }
+                    Err(Error::MemoryExhausted { .. }) => Err(JobError::MemoryQuotaExceeded {
+                        budget: quota.memory,
+                    }),
+                    Err(e) => Err(JobError::Script(e.to_string())),
+                };
+            let served = match handle.wait() {
+                Outcome::Completed { output, .. } => Ok(output),
+                Outcome::Failed(e) => Err(e),
+            };
+            assert_eq!(served, vm_outcome, "{src}");
+            got.push(served);
+        }
+        assert_eq!(got[0], Ok("74".to_string()));
+        assert!(matches!(got[1], Err(JobError::Script(_))), "{:?}", got[1]);
+        assert_eq!(got[2], Err(JobError::FuelQuotaExceeded { budget: 1_000 }));
+        assert_eq!(got[3], Err(JobError::MemoryQuotaExceeded { budget: 1_000 }));
     }
 
     #[test]
@@ -1079,11 +1035,11 @@ mod tests {
         assert!(artifact.jit_cache().is_empty());
         let quota = TenantQuota::default();
         let deadline = Instant::now() + Duration::from_secs(5);
-        let first = run_sliced(&artifact, quota, deadline, 50, true).unwrap();
+        let first = run_sliced(&artifact, quota, deadline, 50).unwrap();
         assert_eq!(first, "2450");
         let heated = artifact.jit_cache().len();
         assert!(heated >= 1, "no compiled code published");
-        let second = run_sliced(&artifact, quota, deadline, 50, true).unwrap();
+        let second = run_sliced(&artifact, quota, deadline, 50).unwrap();
         assert_eq!(second, first);
         assert_eq!(
             artifact.jit_cache().len(),
@@ -1103,25 +1059,16 @@ mod tests {
         let needed = (1..5_000)
             .find(|&fuel| Vm::with_fuel(fuel).run(&artifact.instantiate()).is_ok())
             .expect("the loop finishes within 5 000 fuel");
-        for (fuel, jit) in [
-            (needed, false),
-            (needed, true),
-            (needed - 1, false),
-            (needed - 1, true),
-        ] {
+        for fuel in [needed, needed - 1] {
             let quota = TenantQuota {
                 fuel,
                 memory: 1 << 20,
             };
-            let got = run_sliced(&artifact, quota, deadline, 7, jit);
+            let got = run_sliced(&artifact, quota, deadline, 7);
             if fuel == needed {
-                assert_eq!(got, Ok("19900".to_string()), "jit={jit}");
+                assert_eq!(got, Ok("19900".to_string()));
             } else {
-                assert_eq!(
-                    got,
-                    Err(JobError::FuelQuotaExceeded { budget: fuel }),
-                    "jit={jit}"
-                );
+                assert_eq!(got, Err(JobError::FuelQuotaExceeded { budget: fuel }));
             }
         }
         // Past the deadline, the first slice boundary below the quota stops
@@ -1132,7 +1079,7 @@ mod tests {
         };
         let expired = Instant::now();
         assert_eq!(
-            run_sliced(&artifact, quota, expired, 7, false),
+            run_sliced(&artifact, quota, expired, 7),
             Err(JobError::DeadlineExceeded)
         );
     }

@@ -33,7 +33,6 @@ fn base_config() -> ServiceConfig {
         fuel_slice: 100_000,
         static_admission: true,
         program_cache_capacity: rcr_serve::PROGRAM_CACHE_CAPACITY,
-        jit: true,
     }
 }
 

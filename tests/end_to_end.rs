@@ -159,8 +159,11 @@ fn lint_study_runs_and_renders() {
     let study = rcr_core::lintstudy::run_study(MASTER_SEED, 8).expect("E15");
     assert_eq!(study.clean_with_findings, 0, "lint false positive");
     assert_eq!(study.classes.len(), 5);
-    assert!(rcr_bench::render::e15_figure(&study).contains("</svg>"));
-    assert_eq!(rcr_bench::render::e15_table(&study).n_rows(), 5);
+    assert!(rcr_bench::render::detection_figure("E15", &study.classes).contains("</svg>"));
+    assert_eq!(
+        rcr_bench::render::detection_table("E15", &study.classes).n_rows(),
+        5
+    );
     // Byte-identical reruns: the study is a function of the master seed.
     let again = rcr_core::lintstudy::run_study(MASTER_SEED, 8).expect("E15 rerun");
     assert_eq!(
