@@ -635,14 +635,16 @@ pub fn analyze(program: &Program) -> Analysis {
 /// contains `<`, so it can never collide with a source identifier.
 const RESULT_VAR: &str = "<result>";
 
+/// Scopes are keyed by names borrowed from the AST, so cloning an env
+/// (at every branch, loop pass and pure evaluation) copies no strings.
 #[derive(Debug, Clone, PartialEq)]
-struct Env {
-    scopes: Vec<HashMap<String, AbsVal>>,
+struct Env<'a> {
+    scopes: Vec<HashMap<&'a str, AbsVal>>,
     reachable: bool,
 }
 
-impl Env {
-    fn new() -> Env {
+impl<'a> Env<'a> {
+    fn new() -> Env<'a> {
         Env {
             scopes: vec![HashMap::new()],
             reachable: true,
@@ -657,13 +659,13 @@ impl Env {
         self.scopes.pop();
     }
 
-    fn define(&mut self, name: &str, v: AbsVal) {
+    fn define(&mut self, name: &'a str, v: AbsVal) {
         if let Some(s) = self.scopes.last_mut() {
-            s.insert(name.to_owned(), v);
+            s.insert(name, v);
         }
     }
 
-    fn assign(&mut self, name: &str, v: AbsVal) {
+    fn assign(&mut self, name: &'a str, v: AbsVal) {
         for s in self.scopes.iter_mut().rev() {
             if let Some(slot) = s.get_mut(name) {
                 *slot = v;
@@ -673,7 +675,7 @@ impl Env {
         // Assigning an unbound name is a runtime error (W001's domain);
         // define it at top so later reads stay sound.
         if let Some(s) = self.scopes.first_mut() {
-            s.insert(name.to_owned(), v);
+            s.insert(name, v);
         }
     }
 
@@ -715,7 +717,7 @@ impl Env {
     }
 
     /// Pointwise join with another env of the same scope structure.
-    fn join_from(&mut self, other: &Env) {
+    fn join_from(&mut self, other: &Env<'a>) {
         if !other.reachable {
             return;
         }
@@ -725,20 +727,18 @@ impl Env {
         }
         for (i, s) in self.scopes.iter_mut().enumerate() {
             let os = other.scopes.get(i);
-            let keys: Vec<String> = s.keys().cloned().collect();
-            for k in keys {
+            for (k, v) in s.iter_mut() {
                 let ov = os
-                    .and_then(|m| m.get(&k))
+                    .and_then(|m| m.get(k))
                     .copied()
                     .unwrap_or_else(AbsVal::top);
-                let v = s.get_mut(&k).expect("key just listed");
                 *v = v.join(&ov);
             }
         }
     }
 
     /// Pointwise widening against a previous loop-head env.
-    fn widened_from(&self, new: &Env) -> Env {
+    fn widened_from(&self, new: &Env<'a>) -> Env<'a> {
         let mut out = self.clone();
         out.reachable = self.reachable || new.reachable;
         for (i, s) in out.scopes.iter_mut().enumerate() {
@@ -773,8 +773,8 @@ struct Analyzer<'a> {
     emit: bool,
     /// `(scope depth at loop entry, collected (env, path-lo))` per
     /// enclosing loop; the path-lo is function-entry-relative.
-    break_envs: Vec<(usize, Vec<(Env, u64)>)>,
-    continue_envs: Vec<(usize, Vec<(Env, u64)>)>,
+    break_envs: Vec<(usize, ExitPaths<'a>)>,
+    continue_envs: Vec<(usize, ExitPaths<'a>)>,
     ret_vals: Vec<AbsVal>,
     /// Fuel lower bound from function entry to each `return` statement —
     /// early-return paths must not be charged for the code they skip.
@@ -784,7 +784,7 @@ struct Analyzer<'a> {
 
 /// Escaping loop paths: each `break`/`continue` env paired with its
 /// function-entry-relative fuel-path lower bound.
-type ExitPaths = Vec<(Env, u64)>;
+type ExitPaths<'a> = Vec<(Env<'a>, u64)>;
 
 impl<'a> Analyzer<'a> {
     fn new(program: &'a Program) -> Analyzer<'a> {
@@ -928,8 +928,8 @@ impl<'a> Analyzer<'a> {
             .first()
             .map(|s| {
                 s.iter()
-                    .filter(|(k, _)| k.as_str() != RESULT_VAR)
-                    .map(|(k, v)| (k.clone(), *v))
+                    .filter(|(k, _)| **k != RESULT_VAR)
+                    .map(|(k, v)| ((*k).to_owned(), *v))
                     .collect()
             })
             .unwrap_or_default();
@@ -952,7 +952,7 @@ impl<'a> Analyzer<'a> {
     // `return` statement records.
 
     /// Analyzes a block inside its own scope.
-    fn block(&mut self, b: &Block, env: &mut Env, cost: &mut CostInterval, base: u64) {
+    fn block(&mut self, b: &'a Block, env: &mut Env<'a>, cost: &mut CostInterval, base: u64) {
         env.push();
         self.block_flat(b, env, cost, base);
         env.pop();
@@ -960,7 +960,7 @@ impl<'a> Analyzer<'a> {
 
     /// Analyzes statements in the current scope (main runs "flat", like the
     /// interpreter's `exec_block_flat`).
-    fn block_flat(&mut self, b: &Block, env: &mut Env, cost: &mut CostInterval, base: u64) {
+    fn block_flat(&mut self, b: &'a Block, env: &mut Env<'a>, cost: &mut CostInterval, base: u64) {
         for s in b {
             if !env.reachable {
                 return;
@@ -969,7 +969,7 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn stmt(&mut self, s: &Stmt, env: &mut Env, cost: &mut CostInterval, base: u64) {
+    fn stmt(&mut self, s: &'a Stmt, env: &mut Env<'a>, cost: &mut CostInterval, base: u64) {
         match &s.kind {
             StmtKind::Let { name, init } => {
                 *cost = cost.add_const(1);
@@ -1119,12 +1119,12 @@ impl<'a> Analyzer<'a> {
     /// carry function-entry-relative path lower bounds.
     fn loop_body_pass(
         &mut self,
-        body: &Block,
-        head: &Env,
-        prep: &dyn Fn(&mut Analyzer<'a>, &mut Env),
+        body: &'a Block,
+        head: &Env<'a>,
+        prep: &dyn Fn(&mut Analyzer<'a>, &mut Env<'a>),
         body_base: u64,
         emit: bool,
-    ) -> (Env, ExitPaths, ExitPaths, CostInterval) {
+    ) -> (Env<'a>, ExitPaths<'a>, ExitPaths<'a>, CostInterval) {
         let next_emit = emit && self.emit;
         let saved_emit = std::mem::replace(&mut self.emit, next_emit);
         let depth = head.scopes.len();
@@ -1147,11 +1147,11 @@ impl<'a> Analyzer<'a> {
     #[allow(clippy::type_complexity)]
     fn loop_fixpoint(
         &mut self,
-        body: &Block,
-        entry: &Env,
-        prep: &dyn Fn(&mut Analyzer<'a>, &mut Env),
+        body: &'a Block,
+        entry: &Env<'a>,
+        prep: &dyn Fn(&mut Analyzer<'a>, &mut Env<'a>),
         body_base: u64,
-    ) -> (Env, Env, Vec<(Env, u64)>, Vec<(Env, u64)>, CostInterval) {
+    ) -> (Env<'a>, Env<'a>, ExitPaths<'a>, ExitPaths<'a>, CostInterval) {
         let mut head = entry.clone();
         for _ in 0..MAX_LOOP_ROUNDS {
             let (mut out, _breaks, continues, _c) =
@@ -1183,9 +1183,9 @@ impl<'a> Analyzer<'a> {
     /// reachable, or any `continue` path. `None` = no iteration can ever
     /// run to completion (every path breaks or returns).
     fn iteration_lo(
-        out: &Env,
+        out: &Env<'a>,
         body_lo: u64,
-        continues: &[(Env, u64)],
+        continues: &[(Env<'a>, u64)],
         body_base: u64,
     ) -> Option<u64> {
         let mut lo = if out.reachable { Some(body_lo) } else { None };
@@ -1200,8 +1200,8 @@ impl<'a> Analyzer<'a> {
     fn while_loop(
         &mut self,
         cond: &Expr,
-        body: &Block,
-        env: &mut Env,
+        body: &'a Block,
+        env: &mut Env<'a>,
         cost: &mut CostInterval,
         base: u64,
         line: u32,
@@ -1228,7 +1228,7 @@ impl<'a> Analyzer<'a> {
         }
 
         let body_base = entry_lo.saturating_add(cond_cost.lo).saturating_add(2);
-        let refine_true = |a: &mut Analyzer<'a>, e: &mut Env| a.refine(cond, true, e);
+        let refine_true = |a: &mut Analyzer<'a>, e: &mut Env<'a>| a.refine(cond, true, e);
         let (head, out, breaks, continues, body_cost) =
             self.loop_fixpoint(body, env, &refine_true, body_base);
 
@@ -1291,11 +1291,11 @@ impl<'a> Analyzer<'a> {
     #[allow(clippy::too_many_arguments)]
     fn for_range(
         &mut self,
-        var: &str,
+        var: &'a str,
         start: &Expr,
         end: &Expr,
-        body: &Block,
-        env: &mut Env,
+        body: &'a Block,
+        env: &mut Env<'a>,
         cost: &mut CostInterval,
         base: u64,
     ) {
@@ -1339,7 +1339,7 @@ impl<'a> Analyzer<'a> {
             ev.num.hi
         };
         let var_iv = Interval::new(sv.num.lo, var_hi);
-        let bind = move |_a: &mut Analyzer<'a>, e: &mut Env| {
+        let bind = move |_a: &mut Analyzer<'a>, e: &mut Env<'a>| {
             e.define(var, AbsVal::num_in(var_iv));
         };
 
@@ -1391,7 +1391,7 @@ impl<'a> Analyzer<'a> {
 
     /// Evaluates an expression without mutating `env`, emitting diagnostics,
     /// or accumulating cost — used by condition refinement and truthiness.
-    fn eval_pure(&mut self, e: &Expr, env: &Env) -> AbsVal {
+    fn eval_pure(&mut self, e: &Expr, env: &Env<'a>) -> AbsVal {
         let saved = std::mem::replace(&mut self.emit, false);
         let mut scratch = env.clone();
         let mut c = CostInterval::ZERO;
@@ -1400,7 +1400,7 @@ impl<'a> Analyzer<'a> {
         v
     }
 
-    fn eval(&mut self, e: &Expr, env: &mut Env, cost: &mut CostInterval) -> AbsVal {
+    fn eval(&mut self, e: &Expr, env: &mut Env<'a>, cost: &mut CostInterval) -> AbsVal {
         match &e.kind {
             ExprKind::Num(n) => AbsVal::num(*n),
             ExprKind::Str(_) => AbsVal::of(TypeSet::STR),
@@ -1583,7 +1583,7 @@ impl<'a> Analyzer<'a> {
         name: &str,
         args: &[Expr],
         argv: &[AbsVal],
-        env: &mut Env,
+        env: &mut Env<'a>,
         cost: &mut CostInterval,
         line: u32,
     ) -> AbsVal {
@@ -1742,7 +1742,7 @@ impl<'a> Analyzer<'a> {
 
     /// Definite truthiness of `e` under `env`, given its already-computed
     /// abstract value `v`.
-    fn truthiness(&mut self, e: &Expr, v: &AbsVal, env: &Env) -> Option<bool> {
+    fn truthiness(&mut self, e: &Expr, v: &AbsVal, env: &Env<'a>) -> Option<bool> {
         if let Some(t) = v.truthiness() {
             return Some(t);
         }
@@ -1751,7 +1751,7 @@ impl<'a> Analyzer<'a> {
 
     /// Structural truthiness: decides comparisons via intervals and
     /// composes through `not`/`and`/`or`.
-    fn truthiness_in(&mut self, e: &Expr, v: &AbsVal, env: &Env) -> Option<bool> {
+    fn truthiness_in(&mut self, e: &Expr, v: &AbsVal, env: &Env<'a>) -> Option<bool> {
         if let Some(t) = v.truthiness() {
             return Some(t);
         }
@@ -1838,7 +1838,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Narrows `env` under the assumption that `cond` evaluated to `truth`.
-    fn refine(&mut self, cond: &Expr, truth: bool, env: &mut Env) {
+    fn refine(&mut self, cond: &Expr, truth: bool, env: &mut Env<'a>) {
         match &cond.kind {
             ExprKind::Var(n) => {
                 env.update(n, |v| {
@@ -1894,7 +1894,14 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Applies `var op bound` narrowing when `side` is a variable.
-    fn refine_side(&mut self, side: &Expr, bound: &AbsVal, op: BinOp, _right: bool, env: &mut Env) {
+    fn refine_side(
+        &mut self,
+        side: &Expr,
+        bound: &AbsVal,
+        op: BinOp,
+        _right: bool,
+        env: &mut Env<'a>,
+    ) {
         let ExprKind::Var(name) = &side.kind else {
             return;
         };
@@ -2036,6 +2043,44 @@ mod tests {
         assert!(codes("let n = 1; let d = 2; n / d").is_empty());
         // The lattice cannot confirm a zero that only *might* flow here.
         assert!(codes("let d = 0; let n = 1; if n > 0 { d = 2; } n / d").is_empty());
+    }
+
+    #[test]
+    fn shadowed_names_and_pushes_in_conditions_keep_their_facts() {
+        // `x` is shadowed twice in nested scopes (a string, then a loop
+        // number) and `n` once inside `grow`; every inner binding and
+        // assignment stays local, so only the outer bindings reach the
+        // facts. `push` in an `if` condition grows `a` (length at least
+        // 3) even though truthiness re-evaluates the condition on a
+        // scratch copy of the env. Costs: `grow` is let + if + return
+        // (3) up to 5 with the branch; main is 2 lets, the proven-true
+        // `if` (1 + let + a 3-trip loop of 10 + an inner `if` of 1–2),
+        // the unknown `if` (1–2), `let g` with `grow`'s [3, 5], and the
+        // trailing expression's 0–1.
+        let src = "fn grow(v) {
+              let n = 0;
+              if push(v, 1) == nil { let n = len(v); n = n + 1; }
+              return n;
+            }
+            let x = 1;
+            let a = [1, 2];
+            if x > 0 {
+              let x = \"s\";
+              for i in range(0, 3) { let x = i * 2; x = x + 1; }
+              if len(x) > 0 { x = x + \"t\"; }
+            }
+            if push(a, 3) == nil { x = x + 10; }
+            let g = grow(a);
+            x";
+        assert_eq!(
+            run(src).render_facts(),
+            "fn grow(v) -> num [0, 0] cost [3, 5]\n\
+             main cost [20, 25]\n\
+             main result num [1, 11]\n  \
+             a: array len[3, +inf]\n  \
+             g: num [0, 0]\n  \
+             x: num [1, 11]\n"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::absint::TypeFacts;
 use crate::bytecode::Compiled;
@@ -49,9 +49,13 @@ pub use ir::{render_jit_fn, JitFn, ParamSpec};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JitConfig {
     /// Number of calls before a function tiers up (`0` behaves as `1`).
-    /// The default of 1 compiles on first call: translation is cheap
-    /// relative to even one hot loop, and study workloads call each
-    /// kernel exactly once.
+    /// The default of 1 compiles on first call. Translation costs
+    /// 0.14–0.27 µs per fused op and the compiled tier saves 2.3–6.7 ns
+    /// per unit of fuel (2-vCPU Xeon host), so one call repays it once the
+    /// function spends some 20–120 fuel per op — true of every hot loop,
+    /// and study workloads call each kernel exactly once. Short one-shot
+    /// scripts do not repay it; `rcr-serve` runs the first execution of
+    /// those on the fused VM without an engine (its `JIT_MIN_FUEL_PER_OP`).
     pub hotness_threshold: u32,
 }
 
@@ -103,14 +107,40 @@ enum SharedEntry {
     Reject,
 }
 
+/// The static seeds of one program's translations, a pure function of
+/// its compiled code and type facts.
+struct Seeds {
+    /// Per-function FloatArray slot proofs from the peephole pass.
+    proven: Vec<Vec<bool>>,
+    /// Per-function "returns a float array on every path" facts.
+    farr_fns: Vec<bool>,
+}
+
+impl Seeds {
+    fn compute(compiled: &Compiled, facts: Option<&TypeFacts>) -> Seeds {
+        Seeds {
+            proven: peephole::proven_float_slots(compiled, facts),
+            farr_fns: compiled
+                .funcs
+                .iter()
+                .map(|f| facts.is_some_and(|t| t.returns_float_array(&f.name)))
+                .collect(),
+        }
+    }
+}
+
 /// Cross-execution, cross-thread cache of compiled functions for one
 /// program. Compiled code is plain data, so a service can attach one of
 /// these to a compiled-program cache entry (keyed by the program's
 /// content hash) and every request on every worker reuses the same
-/// translations instead of re-tiering from cold.
+/// translations instead of re-tiering from cold. The translator's static
+/// seeds are computed by the first engine built on the cache and reused
+/// by the rest, so every engine sharing a cache must be built for the
+/// same program and facts.
 #[derive(Default)]
 pub struct SharedJitCache {
     entries: Mutex<HashMap<usize, SharedEntry>>,
+    seeds: OnceLock<Arc<Seeds>>,
 }
 
 impl std::fmt::Debug for SharedJitCache {
@@ -160,10 +190,7 @@ impl SharedJitCache {
 pub struct Jit {
     cfg: JitConfig,
     fns: Vec<RefCell<FnState>>,
-    /// Per-function FloatArray slot proofs from the peephole pass.
-    proven: Vec<Vec<bool>>,
-    /// Per-function "returns a float array on every path" facts.
-    farr_fns: Vec<bool>,
+    seeds: Arc<Seeds>,
     stats: JitStats,
     shared: Option<Arc<SharedJitCache>>,
 }
@@ -196,12 +223,13 @@ impl Jit {
         facts: Option<&TypeFacts>,
         shared: Option<Arc<SharedJitCache>>,
     ) -> Self {
-        let proven = peephole::proven_float_slots(compiled, facts);
-        let farr_fns: Vec<bool> = compiled
-            .funcs
-            .iter()
-            .map(|f| facts.is_some_and(|t| t.returns_float_array(&f.name)))
-            .collect();
+        let seeds = match &shared {
+            Some(s) => Arc::clone(
+                s.seeds
+                    .get_or_init(|| Arc::new(Seeds::compute(compiled, facts))),
+            ),
+            None => Arc::new(Seeds::compute(compiled, facts)),
+        };
         let fns = (0..compiled.funcs.len())
             .map(|fidx| {
                 let seeded = shared.as_deref().and_then(|s| s.get(fidx));
@@ -211,8 +239,7 @@ impl Jit {
         Jit {
             cfg,
             fns,
-            proven,
-            farr_fns,
+            seeds,
             stats: JitStats::default(),
             shared,
         }
@@ -251,8 +278,9 @@ impl Jit {
                 _ => ParamSpec::Any,
             })
             .collect();
+        let seeds = &self.seeds;
         let outcome =
-            translate::translate(compiled, fidx, &spec, &self.proven[fidx], &self.farr_fns)
+            translate::translate(compiled, fidx, &spec, &seeds.proven[fidx], &seeds.farr_fns)
                 .map(Arc::new);
         if let Some(shared) = &self.shared {
             shared.publish(fidx, outcome.clone());
@@ -285,12 +313,7 @@ impl Jit {
 /// shape doesn't translate; functions the translator rejects under both
 /// specs render as `jit <name>: not compiled`.
 pub fn render_ir(compiled: &Compiled, facts: Option<&TypeFacts>) -> String {
-    let proven = peephole::proven_float_slots(compiled, facts);
-    let farr_fns: Vec<bool> = compiled
-        .funcs
-        .iter()
-        .map(|f| facts.is_some_and(|t| t.returns_float_array(&f.name)))
-        .collect();
+    let Seeds { proven, farr_fns } = Seeds::compute(compiled, facts);
     let mut out = String::new();
     for (fidx, func) in compiled.funcs.iter().enumerate() {
         let num_spec = vec![ParamSpec::Num; func.arity as usize];

@@ -32,24 +32,27 @@ impl Parser {
         &self.tokens[self.pos].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        if self.pos + 1 < self.tokens.len() {
-            &self.tokens[self.pos + 1].tok
-        } else {
-            &Tok::Eof
-        }
-    }
-
     fn line(&self) -> u32 {
         self.tokens[self.pos].line
     }
 
+    /// Consumes the current token and moves it out (no token is read
+    /// again once consumed; the final `Eof` is never passed).
     fn advance(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
+        let t = std::mem::replace(&mut self.tokens[self.pos].tok, Tok::Eof);
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
+    }
+
+    /// Consumes the current token, which the caller has peeked as an
+    /// identifier or string literal, and returns its text.
+    fn advance_text(&mut self) -> String {
+        match self.advance() {
+            Tok::Ident(s) | Tok::Str(s) => s,
+            other => unreachable!("advance_text on {other:?}"),
+        }
     }
 
     fn eat(&mut self, want: &Tok, what: &str) -> Result<()> {
@@ -65,9 +68,8 @@ impl Parser {
     }
 
     fn eat_ident(&mut self, what: &str) -> Result<String> {
-        if let Tok::Ident(name) = self.peek().clone() {
-            self.advance();
-            Ok(name)
+        if matches!(self.peek(), Tok::Ident(_)) {
+            Ok(self.advance_text())
         } else {
             Err(Error::parse(
                 format!("expected {what}, found {:?}", self.peek()),
@@ -464,15 +466,13 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr> {
         let line = self.line();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Num(n) => {
+                let n = *n;
                 self.advance();
                 Ok(Expr::new(ExprKind::Num(n), line))
             }
-            Tok::Str(s) => {
-                self.advance();
-                Ok(Expr::new(ExprKind::Str(s), line))
-            }
+            Tok::Str(_) => Ok(Expr::new(ExprKind::Str(self.advance_text()), line)),
             Tok::True => {
                 self.advance();
                 Ok(Expr::new(ExprKind::Bool(true), line))
@@ -507,10 +507,10 @@ impl Parser {
                 self.eat(&Tok::RBracket, "`]`")?;
                 Ok(Expr::new(ExprKind::Array(elems), line))
             }
-            Tok::Ident(name) => {
-                if self.peek2() == &Tok::LParen {
-                    self.advance(); // name
-                    self.advance(); // (
+            Tok::Ident(_) => {
+                let name = self.advance_text();
+                if self.peek() == &Tok::LParen {
+                    self.advance();
                     let mut args = Vec::new();
                     if self.peek() != &Tok::RParen {
                         loop {
@@ -525,7 +525,6 @@ impl Parser {
                     self.eat(&Tok::RParen, "`)`")?;
                     Ok(Expr::new(ExprKind::Call { name, args }, line))
                 } else {
-                    self.advance();
                     Ok(Expr::new(ExprKind::Var(name), line))
                 }
             }

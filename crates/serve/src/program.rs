@@ -13,10 +13,15 @@
 //!   a private `Compiled`. Instantiation is a shallow O(program-size)
 //!   rebuild.
 //!
+//! An artifact also decides which tier each of its runs gets
+//! ([`ProgramArtifact::start_run`]): a program too short to repay its JIT
+//! translation runs its first execution on the fused VM alone.
+//!
 //! [`static_fuel_lower_bound`] and [`ProgramArtifact::compile`] run the same
 //! [`FrontEnd::analyze`] the cache does, so admission, compilation and the
 //! standalone entry points cannot disagree about a program.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rcr_minilang::absint::TypeFacts;
@@ -103,9 +108,31 @@ impl FrontEnd {
     }
 }
 
+/// Static fuel per fused op at or above which a program's *first* run is
+/// given a JIT engine; below it the first run goes to the fused VM alone
+/// and no code is translated for it. Every later run uses the JIT.
+///
+/// Measured on a 2-vCPU Xeon host: building an engine and translating
+/// what a run calls costs 0.14–0.27 µs per fused op (43–55 µs for a
+/// 180-op generated script that the fused VM runs in 6–9 µs), and the warm
+/// JIT saves 2.3–6.7 ns per unit of fuel over the fused VM (4.3–10.0 vs
+/// 1.7–3.3 ns/fuel on E19's scripts and the `serve_hot` kernels). A
+/// program that runs exactly once therefore repays its translation only
+/// above some 20–120 fuel per op; one that runs again pays the
+/// translation anyway, so for it the JIT's first run is pure gain. The
+/// static lower bound per op (fuel lower bound ÷
+/// [`ProgramArtifact::code_len`]) splits into two groups with a wide gap:
+/// generated one-shot research scripts read at most 3.5, while compute
+/// kernels read 21.1 (a 24×24 matmul) to 2 667 (E19's scripts: 235–2 667).
+/// 16 sits in that gap, below break-even, so a kernel is not sent to the
+/// VM merely for lack of a repeat. A loop bounded by a parameter reads
+/// near 0 (Monte-Carlo π: 0.1): its first run is on the VM and its
+/// second on the JIT.
+pub const JIT_MIN_FUEL_PER_OP: u64 = 16;
+
 /// A thread-shareable compiled program (optimized AST → bytecode → fused
 /// superinstructions), ready to instantiate per execution.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ProgramArtifact {
     funcs: Vec<ArtifactFn>,
     main: usize,
@@ -117,6 +144,11 @@ pub struct ProgramArtifact {
     /// every worker: heat accumulated by one request benefits the next,
     /// and a function is translated at most once per artifact.
     jit_cache: Arc<SharedJitCache>,
+    /// Whether the first run gets a JIT engine ([`JIT_MIN_FUEL_PER_OP`]).
+    jit_on_first_run: bool,
+    /// Set by the first [`ProgramArtifact::start_run`]; of two racing
+    /// executors, exactly one takes the first run.
+    started: AtomicBool,
 }
 
 impl ProgramArtifact {
@@ -144,6 +176,7 @@ impl ProgramArtifact {
             peephole::Options::default(),
             Some(&front.facts),
         );
+        let code_len: usize = fused.funcs.iter().map(|f| f.code.len()).sum();
         Ok(ProgramArtifact {
             funcs: fused
                 .funcs
@@ -160,6 +193,8 @@ impl ProgramArtifact {
             main: fused.main,
             facts: front.facts,
             jit_cache: Arc::new(SharedJitCache::new()),
+            jit_on_first_run: front.fuel_lo >= JIT_MIN_FUEL_PER_OP.saturating_mul(code_len as u64),
+            started: AtomicBool::new(false),
         })
     }
 
@@ -173,6 +208,15 @@ impl ProgramArtifact {
     /// itself: one per distinct source in the program cache).
     pub fn jit_cache(&self) -> &Arc<SharedJitCache> {
         &self.jit_cache
+    }
+
+    /// Registers one run of this program and returns whether it gets a JIT
+    /// engine: every run does except the first run of a program whose
+    /// static fuel lower bound is below [`JIT_MIN_FUEL_PER_OP`] per fused
+    /// op. The JIT is bit-identical to the fused VM in values, errors, fuel
+    /// and memory, so the choice cannot change an outcome.
+    pub fn start_run(&self) -> bool {
+        self.jit_on_first_run || self.started.swap(true, Ordering::Relaxed)
     }
 
     /// Rebuilds a private [`Compiled`] for one execution (cheap: clones
@@ -253,6 +297,27 @@ mod tests {
             let got = Vm::new().run(&compiled).unwrap();
             assert_eq!(got, expect);
         }
+    }
+
+    #[test]
+    fn only_provably_short_programs_skip_the_jit_on_their_first_run() {
+        // Copies of E19's scripts (235–2 667 fuel per op) are long.
+        for long in [
+            "let s = 0; for i in range(0, 4000) { s = s + i * i; } s",
+            "let s = 0; for i in range(0, 20000) { s = s + i * 3; } s",
+            "let a = zeros(2000); for i in range(0, 2000) { a[i] = i * 0.5; } vsum(a)",
+        ] {
+            let artifact = ProgramArtifact::compile(long).unwrap();
+            assert!(artifact.start_run(), "{long}: first run");
+            assert!(artifact.start_run(), "{long}: second run");
+        }
+        // A 20-iteration template (about 3 fuel per op) is short: its first
+        // run alone goes to the fused VM.
+        let short = "let s = 0; for i in range(0, 20) { s = s + i * i; } s";
+        let artifact = ProgramArtifact::compile(short).unwrap();
+        assert!(!artifact.start_run(), "first run");
+        assert!(artifact.start_run(), "second run");
+        assert!(artifact.start_run(), "third run");
     }
 
     #[test]

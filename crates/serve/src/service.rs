@@ -27,10 +27,13 @@
 //! to its executor, which compiles the cached front end to bytecode (once
 //! per entry) without parsing, hashing or looking the source up again.
 //!
-//! Each attempt runs on its executor thread as one VM run with the JIT
-//! tier on. The VM stops after every `fuel_slice` of fuel to let the
-//! executor check the deadline, then resumes in place, so a long job is
-//! never re-executed.
+//! Each attempt runs on its executor thread as one VM run. It gets the JIT
+//! tier unless it is the first run of a program whose static fuel lower
+//! bound is too small to repay translation
+//! ([`crate::program::JIT_MIN_FUEL_PER_OP`]); such a one-shot script runs
+//! on the fused VM alone, and a repeat of it runs on the JIT. The VM stops
+//! after every `fuel_slice` of fuel to let the executor check the
+//! deadline, then resumes in place, so a long job is never re-executed.
 //!
 //! # Why every handle resolves (liveness)
 //!
@@ -757,7 +760,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// one slice of fuel past the deadline, and nothing is ever re-executed.
 /// When the tenant quota is used up the run ends as one run at the full
 /// quota would, so the quota check wins over a deadline reached at the
-/// same time.
+/// same time. The run gets a JIT engine as
+/// [`ProgramArtifact::start_run`] decides.
 fn run_sliced(
     artifact: &ProgramArtifact,
     quota: TenantQuota,
@@ -783,16 +787,18 @@ fn run_sliced(
     let compiled = artifact.instantiate();
     let mut vm = Vm::with_limits(Some(slice), Some(quota.memory));
     // The JIT charges fuel and memory bit-identically to the fused VM
-    // (test-enforced), so the deadline checks cannot observe which tier
-    // ran. Heat (compiled code) lives on the artifact and survives across
-    // retries, workers, and requests.
-    let engine = Jit::with_shared(
-        &compiled,
-        JitConfig::default(),
-        Some(artifact.facts()),
-        artifact.jit_cache().clone(),
-    );
-    match vm.run_with_refill(&compiled, Some(&engine), &mut refill) {
+    // (test-enforced), so neither the outcome nor the deadline checks can
+    // observe which tier ran. Heat (compiled code) lives on the artifact
+    // and survives across retries, workers, and requests.
+    let engine = artifact.start_run().then(|| {
+        Jit::with_shared(
+            &compiled,
+            JitConfig::default(),
+            Some(artifact.facts()),
+            artifact.jit_cache().clone(),
+        )
+    });
+    match vm.run_with_refill(&compiled, engine.as_ref(), &mut refill) {
         Ok(value) => Ok(value.to_string()),
         Err(Error::FuelExhausted { .. }) if past_deadline => Err(JobError::DeadlineExceeded),
         Err(Error::FuelExhausted { .. }) => Err(JobError::FuelQuotaExceeded { budget: fuel_quota }),
@@ -1027,16 +1033,17 @@ mod tests {
         // that pauses every 50 fuel for a deadline check and resumes in
         // place, so code compiled in an early slice keeps running in the
         // later ones; the first execution publishes it and later
-        // executions start hot.
+        // executions start hot. The loop is long enough (about 31 fuel per
+        // op) for the first execution to get the JIT.
         let artifact = ProgramArtifact::compile(
-            "fn f(x) { return x * 2; } let s = 0; for i in range(0, 50) { s = s + f(i); } s",
+            "fn f(x) { return x * 2; } let s = 0; for i in range(0, 200) { s = s + f(i); } s",
         )
         .unwrap();
         assert!(artifact.jit_cache().is_empty());
         let quota = TenantQuota::default();
         let deadline = Instant::now() + Duration::from_secs(5);
         let first = run_sliced(&artifact, quota, deadline, 50).unwrap();
-        assert_eq!(first, "2450");
+        assert_eq!(first, "39800");
         let heated = artifact.jit_cache().len();
         assert!(heated >= 1, "no compiled code published");
         let second = run_sliced(&artifact, quota, deadline, 50).unwrap();
@@ -1045,6 +1052,79 @@ mod tests {
             artifact.jit_cache().len(),
             heated,
             "second execution re-published instead of reusing"
+        );
+    }
+
+    /// Twenty iterations: about 3 fuel per fused op, far below
+    /// [`crate::program::JIT_MIN_FUEL_PER_OP`].
+    const SHORT: &str = "let s = 0; for i in range(0, 20) { s = s + i * i; } s";
+
+    #[test]
+    fn short_program_runs_its_first_execution_on_the_vm() {
+        let expect = rcr_minilang::run_source_vm_fused(SHORT)
+            .unwrap()
+            .to_string();
+        let artifact = ProgramArtifact::compile(SHORT).unwrap();
+        let quota = TenantQuota::default();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        assert_eq!(
+            run_sliced(&artifact, quota, deadline, 50),
+            Ok(expect.clone())
+        );
+        assert!(artifact.jit_cache().is_empty(), "first run translated");
+        assert_eq!(run_sliced(&artifact, quota, deadline, 50), Ok(expect));
+        assert!(
+            !artifact.jit_cache().is_empty(),
+            "second run skipped the JIT"
+        );
+    }
+
+    #[test]
+    fn racing_first_runs_leave_exactly_one_on_the_vm() {
+        // Of two executors starting a new short program at once, exactly
+        // one takes the first run (no engine); the other gets the JIT.
+        for _ in 0..32 {
+            let artifact = ProgramArtifact::compile(SHORT).unwrap();
+            let gate = std::sync::Barrier::new(2);
+            let jit_runs = thread::scope(|s| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            gate.wait();
+                            artifact.start_run()
+                        })
+                    })
+                    .collect();
+                racers
+                    .into_iter()
+                    .map(|r| r.join().unwrap())
+                    .filter(|&jit| jit)
+                    .count()
+            });
+            assert_eq!(jit_runs, 1);
+        }
+        // Whole runs racing the same way return the same output.
+        let expect = rcr_minilang::run_source_vm_fused(SHORT)
+            .unwrap()
+            .to_string();
+        let artifact = ProgramArtifact::compile(SHORT).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let gate = std::sync::Barrier::new(2);
+        let outputs: Vec<_> = thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        run_sliced(&artifact, TenantQuota::default(), deadline, 50)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(outputs, vec![Ok(expect.clone()), Ok(expect)]);
+        assert!(
+            !artifact.jit_cache().is_empty(),
+            "the second run used the JIT"
         );
     }
 
