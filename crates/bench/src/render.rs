@@ -4,6 +4,7 @@ use rcr_core::absintstudy::AbsintStudy;
 use rcr_core::colstudy::ColPoint;
 use rcr_core::compare::{DistributionShift, FieldAdoption, ItemShift, LikertShift};
 use rcr_core::experiments::{Demographics, LoadPoint, PolicyOutcome, ResiliencePoint};
+use rcr_core::harness::Measurement;
 use rcr_core::lintstudy::ClassOutcome;
 use rcr_core::memstudy::MemPoint;
 use rcr_core::perfgap::{GapClosure, JitGapRow, KernelGap, ScalingCurve, Tier};
@@ -150,18 +151,20 @@ pub fn e5_figure(gaps: &[KernelGap]) -> String {
 }
 
 /// E5/E11: the gap table (absolute medians plus speedups). Tier columns
-/// come from [`Tier::ALL`] so the table tracks the measured ladder.
+/// come from [`Tier::ALL`] so the table tracks the measured ladder; the
+/// last column is the tree-walk tier's gap to the faster serial native
+/// tier, the denominator E11, E16 and E22 use.
 pub fn gap_table(title: &str, gaps: &[KernelGap]) -> Table {
     let mut headers = vec!["kernel".to_owned(), "size".to_owned()];
     headers.extend(Tier::ALL.iter().map(|t| t.name().to_owned()));
     headers.push("interp→native".into());
     let mut t = Table::new(headers).title(title.to_owned());
     for g in gaps {
-        let cell = |tier: Option<rcr_core::perfgap::TierTime>| {
+        let cell = |tier: Option<Measurement>| {
             tier.map_or("—".to_owned(), |m| fmt::duration_s(m.median_s))
         };
         let final_speedup = g
-            .speedup_vs_interp(g.tiers.native_parallel.or(g.tiers.native_optimized))
+            .speedup_vs_interp(g.tiers.native_best_serial())
             .map_or("—".to_owned(), fmt::speedup);
         let mut cells = vec![g.kernel.clone(), g.size.clone()];
         cells.extend(Tier::ALL.iter().map(|&tier| cell(g.tiers.get(tier))));
@@ -335,7 +338,7 @@ pub fn e11_table(gaps: &[KernelGap]) -> Table {
             .tiers
             .native_best_serial()
             .expect("native tier always measured");
-        let gap = |tier: Option<rcr_core::perfgap::TierTime>| {
+        let gap = |tier: Option<Measurement>| {
             tier.map_or("—".to_owned(), |m| {
                 fmt::speedup(m.median_s / native.median_s)
             })
@@ -1020,6 +1023,28 @@ mod tests {
             "work-stealing series in the E6 figure"
         );
         assert_eq!(e6_table(&curves).n_rows(), 6);
+    }
+
+    #[test]
+    fn gap_table_divides_by_the_faster_serial_native_tier() {
+        // The parallel tier is measured but slower than optimized serial,
+        // as on a 2-vCPU host: the gap is interp / optimized, 1000×.
+        let t = |median_s| Some(Measurement { median_s, runs: 1 });
+        let gaps = [KernelGap {
+            kernel: "dot".into(),
+            size: "n=1".into(),
+            tiers: rcr_core::perfgap::TierTimes {
+                interp: t(1.0),
+                native_naive: t(2e-3),
+                native_optimized: t(1e-3),
+                native_parallel: t(1.25e-3),
+                ..Default::default()
+            },
+            ..Default::default()
+        }];
+        let ascii = gap_table("E5", &gaps).render_ascii();
+        assert!(ascii.contains("1000×"), "{ascii}");
+        assert!(!ascii.contains("800×"), "not interp / parallel: {ascii}");
     }
 
     #[test]

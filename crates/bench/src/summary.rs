@@ -284,7 +284,8 @@ pub fn summarize_e23(rows: &[SimPoint]) -> Vec<Metric> {
 mod tests {
     use super::*;
     use crate::studies::STUDIES;
-    use rcr_core::perfgap::{gap_closure, KernelGap, TierTime, TierTimes};
+    use rcr_core::harness::Measurement;
+    use rcr_core::perfgap::{gap_closure, KernelGap, TierTimes};
 
     #[test]
     fn checksum_tracks_metrics() {
@@ -333,7 +334,7 @@ mod tests {
         let gaps: Vec<KernelGap> = [("dot", "n=20000"), ("mc-pi", "samples=5000")]
             .into_iter()
             .map(|(kernel, size)| {
-                let t = |median_s| Some(TierTime { median_s, runs: 1 });
+                let t = |median_s| Some(Measurement { median_s, runs: 1 });
                 KernelGap {
                     kernel: kernel.into(),
                     size: size.into(),

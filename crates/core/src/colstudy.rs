@@ -15,11 +15,12 @@
 //! The suite: Q1 counts a conjunctive filter (neuroscience ∧ GPU), Q2
 //! tabulates the multi-choice language battery, Q3 cross-tabulates field ×
 //! career stage, and Q4 sums the first pain-point Likert item. Before any
-//! tier is timed its full suite output is verified against the row tier's
-//! — counts exactly, the Likert sum bitwise (the survey's scores are small
-//! integers, so every reassociation is exact) — and at the smallest size
-//! the row tier itself is verified against the actual [`Cohort`] API. A
-//! mismatch aborts with [`Error::VerificationFailed`].
+//! tier is timed ([`crate::harness`]), its full warm-up suite output is
+//! verified against the row tier's — counts exactly, the Likert sum
+//! bitwise (the survey's scores are small integers, so every
+//! reassociation is exact) — and at the smallest size the row tier itself
+//! is verified against the actual [`Cohort`] API. A mismatch aborts with
+//! [`Error::VerificationFailed`].
 //!
 //! At populations too large to hold as `Response` structs, the row tier
 //! streams: each chunk of rows is materialized from the columns (untimed),
@@ -29,11 +30,8 @@
 //!
 //! [`Cohort`]: rcr_survey::cohort::Cohort
 
-use std::time::Instant;
-
 use serde::Serialize;
 
-use rcr_stats::descriptive::median;
 use rcr_survey::canonical as q;
 use rcr_survey::columnar::{ColumnarCohort, Engine, Tier};
 use rcr_survey::query::{count_filtered, Filter};
@@ -41,6 +39,7 @@ use rcr_survey::response::{Answer, Response};
 use rcr_synth::calibration::Wave;
 use rcr_synth::generator::Generator;
 
+use crate::harness::{measure, verify};
 use crate::perfgap::GapConfig;
 use crate::{Error, Result};
 
@@ -303,29 +302,32 @@ pub fn run(seed: u64, config: &GapConfig) -> Result<Vec<ColPoint>> {
         let ctx = SuiteCtx::new(&cohort)?;
         let reps = reps_for(n, config.quick);
 
-        // Row tier: materialize chunks from the columns (untimed), run the
-        // suite on each chunk (timed), merge partials in row order.
-        let mut rep_times = vec![0.0f64; reps];
+        // Row tier: materialize each chunk from the columns (untimed) and
+        // time the suite on it; the row time is the sum of the chunks'
+        // medians, and the warm-up partials merge in row order into the
+        // reference every other tier must reproduce. The smallest size is
+        // one chunk, so its Cohort API check runs before that chunk is timed.
         let mut row_agg = SuiteOut::zero(ctx.langs.len(), ctx.fields.len(), ctx.stages.len());
+        let mut row_median = 0.0;
         let mut start = 0;
         while start < n {
             let end = (start + ROW_CHUNK).min(n);
             let chunk = cohort.rows_to_responses(start, end);
-            for (rep, slot) in rep_times.iter_mut().enumerate() {
-                let t0 = Instant::now();
-                let part = row_suite(&ctx, &chunk);
-                *slot += t0.elapsed().as_secs_f64();
-                if rep == 0 {
+            row_median += measure(
+                reps,
+                || row_suite(&ctx, &chunk),
+                |part| {
                     row_agg.absorb(&part);
-                }
-            }
+                    if si == 0 && end == n {
+                        verify_against_cohort_api(&cohort, &ctx, &row_agg)?;
+                    }
+                    Ok(())
+                },
+            )?
+            .median_s;
             start = end;
         }
-        if si == 0 {
-            verify_against_cohort_api(&cohort, &ctx, &row_agg)?;
-        }
         let row_checksum = row_agg.checksum();
-        let row_median = median(&rep_times)?.max(1e-12);
         out.push(ColPoint {
             rows: n,
             tier: "row".into(),
@@ -337,28 +339,27 @@ pub fn run(seed: u64, config: &GapConfig) -> Result<Vec<ColPoint>> {
         });
 
         for engine in [Engine::serial(), Engine::parallel(threads)] {
-            let agg = columnar_suite(&engine, &cohort, &ctx)?;
-            if agg.checksum() != row_checksum || agg != row_agg {
-                return Err(Error::VerificationFailed(format!(
-                    "E21 n={n}: tier `{}` disagrees with the row reference",
-                    engine.tier.name()
-                )));
-            }
-            let mut times = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let timed = columnar_suite(&engine, &cohort, &ctx)?;
-                times.push(t0.elapsed().as_secs_f64());
-                debug_assert_eq!(timed.q1_count, agg.q1_count);
-            }
-            let m = median(&times)?.max(1e-12);
+            let m = measure(
+                reps,
+                || columnar_suite(&engine, &cohort, &ctx),
+                |agg| {
+                    let agg = agg?;
+                    verify(agg.checksum() == row_checksum && agg == row_agg, || {
+                        format!(
+                            "E21 n={n}: tier `{}` disagrees with the row reference",
+                            engine.tier.name()
+                        )
+                    })
+                },
+            )?
+            .median_s;
             out.push(ColPoint {
                 rows: n,
                 tier: engine.tier.name().into(),
                 median_s: m,
                 rows_per_s: (SUITE_PASSES * n) as f64 / m,
                 speedup_vs_row: row_median / m,
-                checksum: agg.checksum(),
+                checksum: row_checksum,
                 verified: true,
             });
         }

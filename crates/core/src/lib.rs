@@ -38,6 +38,9 @@
 //!   windowed-parallel DES arms replaying SWF traces on federations up
 //!   to 10k+ nodes and a million jobs, the parallel arm digest-verified
 //!   against the serial baseline before timing;
+//! * [`harness`] — the one verify-then-time protocol every timed study
+//!   above goes through: a checked warm-up, then the median of the timed
+//!   runs;
 //! * [`experiments`] — the drivers that tie each survey question and
 //!   cluster workload to the master seed (E1–E4, E7–E10, E12–E14).
 //!
@@ -61,6 +64,7 @@ pub mod absintstudy;
 pub mod colstudy;
 pub mod compare;
 pub mod experiments;
+pub mod harness;
 pub mod lintstudy;
 pub mod memstudy;
 pub mod perfgap;

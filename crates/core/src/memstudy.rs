@@ -11,13 +11,14 @@
 //!
 //! Every cell reports GFLOP/s and effective GB/s (compulsory bytes moved
 //! per call divided by median time), plus speedup over the serial tier at
-//! the same size. Before any cell is timed, the tier's result is verified
-//! against the serial reference — bitwise where the tier performs
+//! the same size. Every tier goes through [`crate::harness`]: before it is
+//! timed, its warm-up output is verified against the serial tier's
+//! warm-up output — bitwise where the tier performs
 //! identical per-element operations (axpy, the time-tiled stencil), and
 //! via the ULP + absolute-floor policy of [`rcr_kernels::verify`] where
 //! reassociation is by design (dot, sum, SpMV row dots, matmul
 //! k-blocking). A mismatch aborts the experiment with
-//! [`Error::VerificationFailed`] rather than reporting a wrong-fast
+//! [`crate::Error::VerificationFailed`] rather than reporting a wrong-fast
 //! number.
 //!
 //! Expected shape: at L1-resident sizes the `simd` tier separates from
@@ -36,12 +37,12 @@
 
 use serde::Serialize;
 
-use rcr_kernels::harness::{measure, Sink};
 use rcr_kernels::verify::{close, close_slices};
 use rcr_kernels::{dotaxpy, matmul, reduce, spmv, stencil};
 
+use crate::harness::{chain_tol, measure_with, verify, MAX_ULPS};
 use crate::perfgap::GapConfig;
-use crate::{Error, Result};
+use crate::Result;
 
 /// One (kernel, working-set level, tier) cell of the E18 sweep.
 #[derive(Debug, Clone, Serialize)]
@@ -73,22 +74,8 @@ pub struct MemPoint {
 }
 
 /// Tier names in sweep order; `serial` must come first (it is the
-/// speedup baseline).
+/// speedup baseline and the verification reference).
 pub const TIERS: [&str; 4] = ["serial", "simd", "parallel", "parallel+simd"];
-
-/// ULP budget for reassociated reductions (matches the kernel tests).
-const MAX_ULPS: u64 = 256;
-
-/// Absolute floor for comparing two differently-associated sums of `n`
-/// terms with the given absolute mass: the standard forward error bound
-/// of recursive summation, `ε · n · Σ|terms|`. Unlike the fixed-factor
-/// `verify::sum_abs_tol` (sized for the kernel tests' modest lengths),
-/// this scales with `n` — at the DRAM level the sweep sums ~10⁷ terms and
-/// the serial chain's own rounding drift exceeds any fixed small multiple
-/// of `ε · Σ|terms|`.
-fn chain_tol(n: usize, abs_sum: f64) -> f64 {
-    f64::EPSILON * abs_sum * (n.max(8) as f64)
-}
 
 /// Working-set targets per level. Quick mode shrinks every level so the
 /// whole sweep runs in well under a second for tests and CI smoke.
@@ -121,10 +108,12 @@ fn matmul_dims(quick: bool) -> [usize; 4] {
 }
 
 /// Times the four tiers of one (kernel, level) cell and appends a
-/// [`MemPoint`] row per tier. `bodies` must be in [`TIERS`] order;
-/// verification has already happened by the time this runs.
+/// [`MemPoint`] row per tier. `bodies` are in [`TIERS`] order, each run on
+/// a fresh `input()`; the serial tier's warm-up output is the reference
+/// every later tier's warm-up output must `match` before that tier is
+/// timed.
 #[allow(clippy::too_many_arguments)]
-fn time_tiers(
+fn time_tiers<I, T>(
     out: &mut Vec<MemPoint>,
     kernel: &str,
     level: &str,
@@ -133,13 +122,23 @@ fn time_tiers(
     flops: f64,
     bytes: f64,
     reps: usize,
-    bodies: Vec<Box<dyn FnMut() -> f64 + '_>>,
-) {
-    let mut sink = Sink::new();
+    mut input: impl FnMut() -> I,
+    bodies: [&dyn Fn(I) -> T; 4],
+    matches: impl Fn(&T, &T) -> bool,
+) -> Result<()> {
+    let mut reference = None;
     let mut serial_s = f64::NAN;
-    for (tier, mut body) in TIERS.into_iter().zip(bodies) {
-        let m = measure(reps, &mut body, |v| sink.eat(v));
-        let s = m.median.as_secs_f64().max(1e-12);
+    for (tier, body) in TIERS.into_iter().zip(bodies) {
+        let s = measure_with(reps, &mut input, body, |got| match &reference {
+            None => {
+                reference = Some(got);
+                Ok(())
+            }
+            Some(want) => verify(matches(want, &got), || {
+                format!("E18 {kernel}/{level}: tier `{tier}` disagrees with serial reference")
+            }),
+        })?
+        .median_s;
         if tier == "serial" {
             serial_s = s;
         }
@@ -156,15 +155,7 @@ fn time_tiers(
             verified: true,
         });
     }
-    assert!(sink.value().is_finite(), "E18 sink went non-finite");
-}
-
-/// Fails the experiment with a uniform message when a tier's result does
-/// not match the serial reference.
-fn mismatch(kernel: &str, level: &str, tier: &str) -> Error {
-    Error::VerificationFailed(format!(
-        "E18 {kernel}/{level}: tier `{tier}` disagrees with serial reference"
-    ))
+    Ok(())
 }
 
 /// Dot-product cell: the `serial` tier is the latency-bound naive chain,
@@ -179,17 +170,7 @@ fn dot_cell(
     let n = (bytes / 16).max(64);
     let x = dotaxpy::gen_vector(n, 0xE18D01);
     let y = dotaxpy::gen_vector(n, 0xE18D02);
-    let reference = dotaxpy::dot_naive(&x, &y);
     let tol = chain_tol(n, x.iter().zip(&y).map(|(a, b)| (a * b).abs()).sum());
-    for (tier, got) in [
-        ("simd", dotaxpy::dot_vectorized(&x, &y)),
-        ("parallel", dotaxpy::dot_parallel(&x, &y, threads)),
-        ("parallel+simd", dotaxpy::dot_parallel_simd(&x, &y, threads)),
-    ] {
-        if !close(reference, got, MAX_ULPS, tol) {
-            return Err(mismatch("dot", level, tier));
-        }
-    }
     time_tiers(
         out,
         "dot",
@@ -199,19 +180,20 @@ fn dot_cell(
         2.0 * n as f64,
         16.0 * n as f64,
         reps,
-        vec![
-            Box::new(|| dotaxpy::dot_naive(&x, &y)),
-            Box::new(|| dotaxpy::dot_vectorized(&x, &y)),
-            Box::new(|| dotaxpy::dot_parallel(&x, &y, threads)),
-            Box::new(|| dotaxpy::dot_parallel_simd(&x, &y, threads)),
+        || (),
+        [
+            &|()| dotaxpy::dot_naive(&x, &y),
+            &|()| dotaxpy::dot_vectorized(&x, &y),
+            &|()| dotaxpy::dot_parallel(&x, &y, threads),
+            &|()| dotaxpy::dot_parallel_simd(&x, &y, threads),
         ],
-    );
-    Ok(())
+        |&want, &got| close(want, got, MAX_ULPS, tol),
+    )
 }
 
 /// AXPY cell: every tier performs identical per-element operations, so
-/// verification is bitwise. Timed bodies update a per-tier buffer in
-/// place (the drift across repetitions does not change the cost).
+/// verification is bitwise. Each run updates a fresh copy of `y`, made
+/// outside the clock.
 fn axpy_cell(
     out: &mut Vec<MemPoint>,
     level: &str,
@@ -223,22 +205,10 @@ fn axpy_cell(
     let alpha = 1.000_3_f64;
     let x = dotaxpy::gen_vector(n, 0xE18A01);
     let y0 = dotaxpy::gen_vector(n, 0xE18A02);
-
-    let mut reference = y0.clone();
-    dotaxpy::axpy_naive(alpha, &x, &mut reference);
-    for &tier in &TIERS[1..] {
-        let mut got = y0.clone();
-        match tier {
-            "simd" => dotaxpy::axpy_vectorized(alpha, &x, &mut got),
-            "parallel" => dotaxpy::axpy_parallel(alpha, &x, &mut got, threads),
-            _ => dotaxpy::axpy_parallel_simd(alpha, &x, &mut got, threads),
-        }
-        if got != reference {
-            return Err(mismatch("axpy", level, tier));
-        }
-    }
-
-    let (mut ys, mut yv, mut yp, mut yps) = (y0.clone(), y0.clone(), y0.clone(), y0);
+    let axpy = |kernel: &dyn Fn(&mut [f64]), mut y: Vec<f64>| {
+        kernel(&mut y);
+        y
+    };
     time_tiers(
         out,
         "axpy",
@@ -248,26 +218,15 @@ fn axpy_cell(
         2.0 * n as f64,
         24.0 * n as f64,
         reps,
-        vec![
-            Box::new(|| {
-                dotaxpy::axpy_naive(alpha, &x, &mut ys);
-                ys[0]
-            }),
-            Box::new(|| {
-                dotaxpy::axpy_vectorized(alpha, &x, &mut yv);
-                yv[0]
-            }),
-            Box::new(|| {
-                dotaxpy::axpy_parallel(alpha, &x, &mut yp, threads);
-                yp[0]
-            }),
-            Box::new(|| {
-                dotaxpy::axpy_parallel_simd(alpha, &x, &mut yps, threads);
-                yps[0]
-            }),
+        || y0.clone(),
+        [
+            &|y| axpy(&|y| dotaxpy::axpy_naive(alpha, &x, y), y),
+            &|y| axpy(&|y| dotaxpy::axpy_vectorized(alpha, &x, y), y),
+            &|y| axpy(&|y| dotaxpy::axpy_parallel(alpha, &x, y, threads), y),
+            &|y| axpy(&|y| dotaxpy::axpy_parallel_simd(alpha, &x, y, threads), y),
         ],
-    );
-    Ok(())
+        |want, got| want == got,
+    )
 }
 
 /// Sum cell: one load and one add per element — the purest bandwidth probe.
@@ -280,17 +239,7 @@ fn sum_cell(
 ) -> Result<()> {
     let n = (bytes / 8).max(64);
     let xs = reduce::gen_data(n, 0xE185);
-    let reference = reduce::sum_naive(&xs);
     let tol = chain_tol(n, xs.iter().map(|v| v.abs()).sum());
-    for (tier, got) in [
-        ("simd", reduce::sum_vectorized(&xs)),
-        ("parallel", reduce::sum_parallel(&xs, threads)),
-        ("parallel+simd", reduce::sum_parallel_simd(&xs, threads)),
-    ] {
-        if !close(reference, got, MAX_ULPS, tol) {
-            return Err(mismatch("sum", level, tier));
-        }
-    }
     time_tiers(
         out,
         "sum",
@@ -300,14 +249,15 @@ fn sum_cell(
         n as f64,
         8.0 * n as f64,
         reps,
-        vec![
-            Box::new(|| reduce::sum_naive(&xs)),
-            Box::new(|| reduce::sum_vectorized(&xs)),
-            Box::new(|| reduce::sum_parallel(&xs, threads)),
-            Box::new(|| reduce::sum_parallel_simd(&xs, threads)),
+        || (),
+        [
+            &|()| reduce::sum_naive(&xs),
+            &|()| reduce::sum_vectorized(&xs),
+            &|()| reduce::sum_parallel(&xs, threads),
+            &|()| reduce::sum_parallel_simd(&xs, threads),
         ],
-    );
-    Ok(())
+        |&want, &got| close(want, got, MAX_ULPS, tol),
+    )
 }
 
 /// Stencil cell: the `simd` tier is the time-tiled fused-sweep variant,
@@ -324,22 +274,6 @@ fn stencil_cell(
     let side = ((bytes / 16) as f64).sqrt() as usize;
     let side = side.max(8);
     let grid = stencil::gen_grid(side, side, 0xE1857);
-    let reference = stencil::optimized(&grid, side, side, sweeps);
-    for (tier, got) in [
-        ("simd", stencil::vectorized(&grid, side, side, sweeps)),
-        (
-            "parallel",
-            stencil::parallel(&grid, side, side, sweeps, threads),
-        ),
-        (
-            "parallel+simd",
-            stencil::parallel_vectorized(&grid, side, side, sweeps, threads),
-        ),
-    ] {
-        if got != reference {
-            return Err(mismatch("stencil", level, tier));
-        }
-    }
     let points = side * side;
     let interior = side.saturating_sub(2) * side.saturating_sub(2);
     time_tiers(
@@ -351,14 +285,15 @@ fn stencil_cell(
         (5 * interior * sweeps) as f64,
         (16 * points * sweeps) as f64,
         reps,
-        vec![
-            Box::new(|| stencil::optimized(&grid, side, side, sweeps)[0]),
-            Box::new(|| stencil::vectorized(&grid, side, side, sweeps)[0]),
-            Box::new(|| stencil::parallel(&grid, side, side, sweeps, threads)[0]),
-            Box::new(|| stencil::parallel_vectorized(&grid, side, side, sweeps, threads)[0]),
+        || (),
+        [
+            &|()| stencil::optimized(&grid, side, side, sweeps),
+            &|()| stencil::vectorized(&grid, side, side, sweeps),
+            &|()| stencil::parallel(&grid, side, side, sweeps, threads),
+            &|()| stencil::parallel_vectorized(&grid, side, side, sweeps, threads),
         ],
-    );
-    Ok(())
+        |want, got| want == got,
+    )
 }
 
 /// SpMV cell: irregular gather traffic; the SIMD tier is the four-way
@@ -375,21 +310,11 @@ fn spmv_cell(
     let n = (bytes / 336).max(16);
     let m = spmv::gen_sparse(n, 64, 0xE185B);
     let x = dotaxpy::gen_vector(n, 0xE185C);
-    let reference = spmv::serial(&m, &x);
     let max_nnz = (0..m.n_rows)
         .map(|r| m.row_ptr[r + 1] - m.row_ptr[r])
         .max()
         .unwrap_or(0);
     let tol = f64::EPSILON * max_nnz as f64 * 8.0;
-    for (tier, got) in [
-        ("simd", spmv::vectorized(&m, &x)),
-        ("parallel", spmv::parallel_static(&m, &x, threads)),
-        ("parallel+simd", spmv::parallel_vectorized(&m, &x, threads)),
-    ] {
-        if !close_slices(&reference, &got, MAX_ULPS, tol) {
-            return Err(mismatch("spmv", level, tier));
-        }
-    }
     let nnz = m.nnz();
     time_tiers(
         out,
@@ -400,14 +325,15 @@ fn spmv_cell(
         2.0 * nnz as f64,
         (24 * nnz + 16 * n) as f64,
         reps,
-        vec![
-            Box::new(|| spmv::serial(&m, &x)[0]),
-            Box::new(|| spmv::vectorized(&m, &x)[0]),
-            Box::new(|| spmv::parallel_static(&m, &x, threads)[0]),
-            Box::new(|| spmv::parallel_vectorized(&m, &x, threads)[0]),
+        || (),
+        [
+            &|()| spmv::serial(&m, &x),
+            &|()| spmv::vectorized(&m, &x),
+            &|()| spmv::parallel_static(&m, &x, threads),
+            &|()| spmv::parallel_vectorized(&m, &x, threads),
         ],
-    );
-    Ok(())
+        |want, got| close_slices(want, got, MAX_ULPS, tol),
+    )
 }
 
 /// Matmul cell: compute-bound contrast to the streaming kernels. The
@@ -423,17 +349,7 @@ fn matmul_cell(
 ) -> Result<()> {
     let a = matmul::gen_matrix(n, 0xE1833);
     let b = matmul::gen_matrix(n, 0xE1834);
-    let reference = matmul::blocked(&a, &b, n);
     let tol = f64::EPSILON * n as f64 * 8.0;
-    for (tier, got) in [
-        ("simd", matmul::packed(&a, &b, n)),
-        ("parallel", matmul::parallel(&a, &b, n, threads)),
-        ("parallel+simd", matmul::parallel_packed(&a, &b, n, threads)),
-    ] {
-        if !close_slices(&reference, &got, MAX_ULPS, tol) {
-            return Err(mismatch("matmul", level, tier));
-        }
-    }
     time_tiers(
         out,
         "matmul",
@@ -443,14 +359,15 @@ fn matmul_cell(
         matmul::flops(n) as f64,
         (24 * n * n) as f64,
         reps,
-        vec![
-            Box::new(|| matmul::blocked(&a, &b, n)[0]),
-            Box::new(|| matmul::packed(&a, &b, n)[0]),
-            Box::new(|| matmul::parallel(&a, &b, n, threads)[0]),
-            Box::new(|| matmul::parallel_packed(&a, &b, n, threads)[0]),
+        || (),
+        [
+            &|()| matmul::blocked(&a, &b, n),
+            &|()| matmul::packed(&a, &b, n),
+            &|()| matmul::parallel(&a, &b, n, threads),
+            &|()| matmul::parallel_packed(&a, &b, n, threads),
         ],
-    );
-    Ok(())
+        |want, got| close_slices(want, got, MAX_ULPS, tol),
+    )
 }
 
 /// Runs the full E18 sweep: 6 kernels × 4 working-set levels × 4 tiers =

@@ -8,15 +8,18 @@
 //! ablation), E16 ([`gap_closure`]) and E22 ([`jit_gap`]). E6
 //! ([`measure_scaling`]) times thread scaling separately.
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
 
-use rcr_kernels::harness::{measure, Measurement};
+use rcr_kernels::verify::{close, close_slices};
 use rcr_kernels::{dotaxpy, matmul, montecarlo, par, reduce, spmv, stencil};
-use rcr_minilang::{run_source, run_source_vm, run_source_vm_fused, run_source_vm_jit, Value};
+use rcr_minilang::{
+    run_source, run_source_vm, run_source_vm_fused, run_source_vm_jit_counted, Value,
+};
 use rcr_stats::regression::{amdahl_speedup, fit_amdahl};
 
+use crate::harness::{chain_tol, measure, verify, verify_pi, Measurement, MAX_ULPS};
 use crate::{Error, Result};
 
 /// Study configuration. `quick` shrinks sizes/reps by ~50× so unit tests
@@ -54,24 +57,6 @@ impl GapConfig {
             2
         } else {
             5
-        }
-    }
-}
-
-/// A timing summary in a serialization-friendly shape.
-#[derive(Debug, Clone, Copy, Serialize, PartialEq)]
-pub struct TierTime {
-    /// Median wall time in seconds.
-    pub median_s: f64,
-    /// Number of timed repetitions.
-    pub runs: usize,
-}
-
-impl From<Measurement> for TierTime {
-    fn from(m: Measurement) -> Self {
-        TierTime {
-            median_s: m.median.as_secs_f64(),
-            runs: m.runs,
         }
     }
 }
@@ -139,26 +124,26 @@ impl Tier {
 #[derive(Debug, Clone, Serialize, Default)]
 pub struct TierTimes {
     /// ResearchScript on the tree-walking interpreter.
-    pub interp: Option<TierTime>,
+    pub interp: Option<Measurement>,
     /// ResearchScript on the bytecode VM.
-    pub vm: Option<TierTime>,
+    pub vm: Option<Measurement>,
     /// ResearchScript on the fused (peephole-optimized) bytecode VM.
-    pub vm_fused: Option<TierTime>,
+    pub vm_fused: Option<Measurement>,
     /// ResearchScript on the register-IR JIT tier.
-    pub vm_jit: Option<TierTime>,
+    pub vm_jit: Option<Measurement>,
     /// ResearchScript using the vectorized builtins.
-    pub vectorized: Option<TierTime>,
+    pub vectorized: Option<Measurement>,
     /// Native Rust, naive variant.
-    pub native_naive: Option<TierTime>,
+    pub native_naive: Option<Measurement>,
     /// Native Rust, locality/allocation-optimized variant.
-    pub native_optimized: Option<TierTime>,
+    pub native_optimized: Option<Measurement>,
     /// Native Rust, parallel variant.
-    pub native_parallel: Option<TierTime>,
+    pub native_parallel: Option<Measurement>,
 }
 
 impl TierTimes {
     /// The measured time for `tier`, if that tier ran on this kernel.
-    pub fn get(&self, tier: Tier) -> Option<TierTime> {
+    pub fn get(&self, tier: Tier) -> Option<Measurement> {
         match tier {
             Tier::Interp => self.interp,
             Tier::Vm => self.vm,
@@ -173,7 +158,7 @@ impl TierTimes {
 
     /// The faster (by median) of the measured serial native tiers — the
     /// denominator of the E11 gaps and the E16 and E22 closure metrics.
-    pub fn native_best_serial(&self) -> Option<TierTime> {
+    pub fn native_best_serial(&self) -> Option<Measurement> {
         [self.native_optimized, self.native_naive]
             .into_iter()
             .flatten()
@@ -200,10 +185,10 @@ pub struct KernelGap {
 impl KernelGap {
     /// Speedup of `tier_s` relative to the tree-walk tier; `None` when
     /// either is missing.
-    pub fn speedup_vs_interp(&self, tier: Option<TierTime>) -> Option<f64> {
+    pub fn speedup_vs_interp(&self, tier: Option<Measurement>) -> Option<f64> {
         let base = self.tiers.interp?;
         let t = tier?;
-        Some(base.median_s / t.median_s.max(1e-12))
+        Some(base.median_s / t.median_s)
     }
 }
 
@@ -317,61 +302,31 @@ fn value_to_f64(v: Value) -> Result<f64> {
     }
 }
 
-/// A minilang entry point: parse, compile and run a script on one tier.
-type ScriptRunner = fn(&str) -> rcr_minilang::Result<Value>;
+/// A minilang entry point: parse, compile and run a script on one tier,
+/// returning its value and the number of functions the JIT compiled (0
+/// off the JIT tier).
+type ScriptRunner = fn(&str) -> rcr_minilang::Result<(Value, u32)>;
 
 /// The four script tiers every kernel runs, each through its own minilang
 /// entry point (timing includes parsing, compilation, analysis, and JIT
 /// translation — the full warmup a user pays).
 const SCRIPT_TIERS: [(Tier, ScriptRunner); 4] = [
-    (Tier::Interp, run_source),
-    (Tier::Vm, run_source_vm),
-    (Tier::VmFused, run_source_vm_fused),
-    (Tier::VmJit, run_source_vm_jit),
+    (Tier::Interp, |src| Ok((run_source(src)?, 0))),
+    (Tier::Vm, |src| Ok((run_source_vm(src)?, 0))),
+    (Tier::VmFused, |src| Ok((run_source_vm_fused(src)?, 0))),
+    (Tier::VmJit, run_source_vm_jit_counted),
 ];
 
-fn measure_script(src: &str, reps: usize, run: ScriptRunner) -> Result<(Measurement, f64)> {
-    // Verify once, then time.
-    let reference = value_to_f64(run(src)?)?;
-    let mut last = reference;
-    let m = measure(
-        reps,
-        || value_to_f64(run(src).expect("script verified before timing")),
-        |v| last = v.expect("script verified before timing"),
-    );
-    if (last - reference).abs() > 1e-9 * (1.0 + reference.abs()) {
-        return Err(Error::VerificationFailed(format!(
-            "script result drifted across runs: {reference} vs {last}"
-        )));
-    }
-    Ok((m, reference))
-}
-
-fn verify_close(kernel: &str, a: f64, b: f64, tol: f64) -> Result<()> {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    if (a - b).abs() <= tol * scale {
-        Ok(())
-    } else {
-        Err(Error::VerificationFailed(format!(
-            "{kernel}: tiers disagree ({a} vs {b})"
-        )))
-    }
-}
-
-/// Exact bitwise agreement across every script tier of one kernel;
-/// returns the shared bit pattern.
-fn verify_bits(kernel: &str, results: &[(&str, f64)]) -> Result<u64> {
-    let (_, first) = results[0];
-    let bits = first.to_bits();
-    for (tier, r) in results {
-        if r.to_bits() != bits {
-            return Err(Error::VerificationFailed(format!(
-                "{kernel}: tier `{tier}` diverged ({r} vs {first}, bits {:016x} vs {bits:016x})",
-                r.to_bits()
-            )));
-        }
-    }
-    Ok(bits)
+/// Checks that `tier` reproduced the kernel's reference result bit for bit.
+fn same_bits(kernel: &str, tier: Tier, got: f64, want: f64) -> Result<()> {
+    verify(got.to_bits() == want.to_bits(), || {
+        format!(
+            "{kernel}: tier `{}` diverged ({got} vs {want}, bits {:016x} vs {:016x})",
+            tier.name(),
+            got.to_bits(),
+            want.to_bits()
+        )
+    })
 }
 
 // ---- the kernel table -----------------------------------------------------
@@ -390,8 +345,8 @@ struct Kernel {
     /// The same computation through the vectorized builtins, when the
     /// kernel has one.
     vectorized: Option<fn(usize) -> String>,
-    /// Checks the scripts' shared result against native code, then times
-    /// the native tiers: `(n, script result, reps, threads)`.
+    /// Times the native tiers, each checked against the scripts' shared
+    /// result first: `(n, script result, reps, threads)`.
     native: fn(usize, f64, usize, usize) -> Result<NativeTimes>,
 }
 
@@ -430,30 +385,36 @@ const KERNELS: [Kernel; 4] = [
     },
 ];
 
-/// Times the naive, optimized and parallel variants of one kernel.
-fn time_native(reps: usize, variants: [&dyn Fn() -> f64; 3]) -> NativeTimes {
-    let mut sink = 0.0;
-    let times = variants.map(|f| measure(reps, f, |v| sink += v));
-    assert!(sink.is_finite());
-    times
+/// Times the naive, optimized and parallel arms of one kernel; `check`
+/// sees each arm's warm-up output, with the arm's tier, before the arm is
+/// timed.
+fn time_native<T>(
+    reps: usize,
+    [naive, optimized, parallel]: [&dyn Fn() -> T; 3],
+    check: impl Fn(Tier, T) -> Result<()>,
+) -> Result<NativeTimes> {
+    Ok([
+        measure(reps, naive, |v| check(Tier::NativeNaive, v))?,
+        measure(reps, optimized, |v| check(Tier::NativeOptimized, v))?,
+        measure(reps, parallel, |v| check(Tier::NativeParallel, v))?,
+    ])
 }
+
+// The scripts' inputs are multiples of 1/8 and every partial sum stays far
+// below 2^50, so each summation order is exact: the dot, saxpy and matmul
+// arms reproduce the scripts' bits, however they associate.
 
 fn native_dot(n: usize, script: f64, reps: usize, threads: usize) -> Result<NativeTimes> {
     let (a, b) = (script_vec_a(n), script_vec_b(n));
-    verify_close(
-        "dot script/native",
-        script,
-        dotaxpy::dot_optimized(&a, &b),
-        1e-9,
-    )?;
-    Ok(time_native(
+    time_native(
         reps,
         [
             &|| dotaxpy::dot_naive(&a, &b),
             &|| dotaxpy::dot_optimized(&a, &b),
             &|| dotaxpy::dot_parallel(&a, &b, threads),
         ],
-    ))
+        |tier, v| same_bits("dot", tier, v, script),
+    )
 }
 
 fn native_saxpy(n: usize, script: f64, reps: usize, threads: usize) -> Result<NativeTimes> {
@@ -464,48 +425,44 @@ fn native_saxpy(n: usize, script: f64, reps: usize, threads: usize) -> Result<Na
         kernel(&mut y);
         y
     };
-    let native: f64 = axpy(&|y| dotaxpy::axpy_optimized(2.5, &x, y)).iter().sum();
-    verify_close("saxpy script/native", script, native, 1e-9)?;
-    Ok(time_native(
+    time_native(
         reps,
         [
-            &|| axpy(&|y| dotaxpy::axpy_naive(2.5, &x, y))[n / 2],
-            &|| axpy(&|y| dotaxpy::axpy_optimized(2.5, &x, y))[n / 2],
-            &|| axpy(&|y| dotaxpy::axpy_parallel(2.5, &x, y, threads))[n / 2],
+            &|| axpy(&|y| dotaxpy::axpy_naive(2.5, &x, y)),
+            &|| axpy(&|y| dotaxpy::axpy_optimized(2.5, &x, y)),
+            &|| axpy(&|y| dotaxpy::axpy_parallel(2.5, &x, y, threads)),
         ],
-    ))
+        |tier, y| same_bits("saxpy", tier, y.iter().sum(), script),
+    )
 }
 
 fn native_mcpi(n: usize, script: f64, reps: usize, threads: usize) -> Result<NativeTimes> {
     let n = n as u64;
-    // The scripted LCG and both native verifiers are bit-identical.
-    verify_close("mc-pi script/native-lcg", script, mcpi_native(n), 0.0)?;
-    verify_close(
-        "mc-pi native/native-int",
-        mcpi_native(n),
-        mcpi_native_optimized(n),
-        0.0,
-    )?;
-    Ok(time_native(
+    // The serial ports replay the scripted LCG bit for bit; the parallel
+    // arm draws its own sample, so it gets the statistical bound.
+    time_native(
         reps,
         [&|| mcpi_native(n), &|| mcpi_native_optimized(n), &|| {
             montecarlo::pi_parallel(n, 42, threads)
         }],
-    ))
+        |tier, v| match tier {
+            Tier::NativeParallel => verify_pi("mc-pi native parallel", v, n),
+            _ => same_bits("mc-pi", tier, v, script),
+        },
+    )
 }
 
 fn native_matmul(n: usize, script: f64, reps: usize, threads: usize) -> Result<NativeTimes> {
     let (a, b) = (script_vec_a(n * n), script_vec_b(n * n));
-    let native: f64 = matmul::naive(&a, &b, n).iter().sum();
-    verify_close("matmul script/native", script, native, 1e-9)?;
-    Ok(time_native(
+    time_native(
         reps,
         [
-            &|| matmul::naive(&a, &b, n)[0],
-            &|| matmul::blocked(&a, &b, n)[0],
-            &|| matmul::parallel(&a, &b, n, threads)[0],
+            &|| matmul::naive(&a, &b, n),
+            &|| matmul::blocked(&a, &b, n),
+            &|| matmul::parallel(&a, &b, n, threads),
         ],
-    ))
+        |tier, c| same_bits("matmul", tier, c.iter().sum(), script),
+    )
 }
 
 // ---- the study ----------------------------------------------------------
@@ -514,12 +471,13 @@ fn native_matmul(n: usize, script: f64, reps: usize, threads: usize) -> Result<N
 /// vectorized builtins and the three native tiers. E5, E11, E16 and E22
 /// all read this one result.
 ///
-/// Before any time is trusted, the four script tiers must agree bit for
-/// bit, the vectorized tier within 1e-9 of them, and native code within
-/// 1e-9 (exactly for mc-π).
+/// The tree-walk tier's warm-up result is each kernel's reference. Every
+/// other arm must reproduce its bits before it is timed, except the
+/// native parallel mc-π, which draws its own sample and must land within
+/// six standard deviations of π.
 ///
 /// # Errors
-/// Script errors and [`Error::VerificationFailed`] when tiers disagree.
+/// Script errors and [`Error::VerificationFailed`] when an arm disagrees.
 pub fn measure_gaps(config: &GapConfig) -> Result<Vec<KernelGap>> {
     let reps = config.reps();
     KERNELS
@@ -527,32 +485,41 @@ pub fn measure_gaps(config: &GapConfig) -> Result<Vec<KernelGap>> {
         .map(|k| {
             let n = k.n[usize::from(!config.quick)];
             let src = (k.script)(n);
+            let mut reference = None;
+            let mut jit_fns_compiled = 0;
             let mut times = Vec::with_capacity(SCRIPT_TIERS.len());
-            let mut results = Vec::with_capacity(SCRIPT_TIERS.len() + 1);
             for (tier, run) in SCRIPT_TIERS {
-                let (m, r) = measure_script(&src, reps, run)?;
-                times.push(Some(m.into()));
-                results.push((tier.name(), r));
+                let m = measure(
+                    reps,
+                    || run(&src),
+                    |out| {
+                        let (value, compiled) = out?;
+                        jit_fns_compiled += compiled;
+                        let got = value_to_f64(value)?;
+                        same_bits(k.name, tier, got, *reference.get_or_insert(got))
+                    },
+                )?;
+                times.push(Some(m));
             }
-            let [interp, vm, vm_fused, vm_jit]: [Option<TierTime>; 4] =
+            let [interp, vm, vm_fused, vm_jit]: [Option<Measurement>; 4] =
                 times.try_into().expect("one time per script tier");
-            let (jit_result, jit_fns_compiled) = rcr_minilang::run_source_vm_jit_counted(&src)?;
-            results.push(("JIT VM, counted", value_to_f64(jit_result)?));
-            let bits = verify_bits(k.name, &results)?;
-            let result = f64::from_bits(bits);
-            let vectorized = match k.vectorized {
-                Some(script) => {
-                    let (m, r) = measure_script(&script(n), reps, run_source_vm)?;
-                    verify_close(&format!("{} vm/vectorized", k.name), result, r, 1e-9)?;
-                    Some(m.into())
-                }
-                None => None,
-            };
+            let result = reference.expect("the tree-walk tier set the reference");
+            let vectorized = k
+                .vectorized
+                .map(|script| {
+                    let src = script(n);
+                    measure(
+                        reps,
+                        || run_source_vm(&src),
+                        |out| same_bits(k.name, Tier::Vectorized, value_to_f64(out?)?, result),
+                    )
+                })
+                .transpose()?;
             let [naive, optimized, parallel] = (k.native)(n, result, reps, config.threads)?;
             Ok(KernelGap {
                 kernel: k.name.into(),
                 size: (k.size)(n),
-                checksum: format!("{bits:016x}"),
+                checksum: format!("{:016x}", result.to_bits()),
                 jit_fns_compiled: u64::from(jit_fns_compiled),
                 tiers: TierTimes {
                     interp,
@@ -560,9 +527,9 @@ pub fn measure_gaps(config: &GapConfig) -> Result<Vec<KernelGap>> {
                     vm_fused,
                     vm_jit,
                     vectorized,
-                    native_naive: Some(naive.into()),
-                    native_optimized: Some(optimized.into()),
-                    native_parallel: Some(parallel.into()),
+                    native_naive: Some(naive),
+                    native_optimized: Some(optimized),
+                    native_parallel: Some(parallel),
                 },
             })
         })
@@ -617,10 +584,10 @@ pub struct GapClosure {
 pub fn gap_closure(gaps: &[KernelGap]) -> Vec<GapClosure> {
     gaps.iter()
         .filter_map(|g| {
-            let vm = g.tiers.vm?.median_s.max(1e-12);
-            let fused = g.tiers.vm_fused?.median_s.max(1e-12);
-            let native = g.tiers.native_best_serial()?.median_s.max(1e-12);
-            let jit = g.tiers.vm_jit.map(|t| t.median_s.max(1e-12));
+            let vm = g.tiers.vm?.median_s;
+            let fused = g.tiers.vm_fused?.median_s;
+            let native = g.tiers.native_best_serial()?.median_s;
+            let jit = g.tiers.vm_jit.map(|t| t.median_s);
             Some(GapClosure {
                 kernel: g.kernel.clone(),
                 size: g.size.clone(),
@@ -678,7 +645,7 @@ pub struct JitGapRow {
 pub fn jit_gap(gaps: &[KernelGap]) -> Vec<JitGapRow> {
     gaps.iter()
         .filter_map(|g| {
-            let secs = |t: Option<TierTime>| Some(t?.median_s.max(1e-12));
+            let secs = |t: Option<Measurement>| Some(t?.median_s);
             let interp = secs(g.tiers.interp)?;
             let fused = secs(g.tiers.vm_fused)?;
             let jit = secs(g.tiers.vm_jit)?;
@@ -735,21 +702,36 @@ pub fn thread_sweep(max: usize) -> Vec<usize> {
     ts
 }
 
-/// Runs the scaling study for matmul, stencil, mc-pi, and sum-reduction.
+/// Median seconds of `run(t)` at every thread count `t`, each count's
+/// warm-up output passed to `check` before that count is timed.
+fn thread_medians<T>(
+    reps: usize,
+    threads: &[usize],
+    run: impl Fn(usize) -> T,
+    check: impl Fn(T) -> Result<()>,
+) -> Result<Vec<f64>> {
+    threads
+        .iter()
+        .map(|&t| Ok(measure(reps, || run(t), &check)?.median_s))
+        .collect()
+}
+
+/// Runs the scaling study for matmul, stencil, mc-pi, and sum-reduction,
+/// plus the skewed SpMV under two schedulers. Every thread count is
+/// checked before it is timed, under E18's tolerance policy: against the
+/// serial kernel bitwise (stencil, SpMV) or within ULPs plus an absolute
+/// floor (matmul, sum); mc-π within six standard deviations of π.
 ///
 /// # Errors
-/// Statistics errors from the Amdahl fit (degenerate inputs).
+/// [`Error::VerificationFailed`] when an arm disagrees with its serial
+/// reference; statistics errors from the Amdahl fit (degenerate inputs).
 pub fn measure_scaling(config: &GapConfig) -> Result<Vec<ScalingCurve>> {
     let reps = config.reps();
     let threads = thread_sweep(config.threads.max(2));
     let mut out = Vec::new();
 
-    let mut push_curve = |kernel: &str, size: String, times: Vec<Duration>| -> Result<()> {
-        let base = times[0].as_secs_f64();
-        let speedup: Vec<f64> = times
-            .iter()
-            .map(|t| base / t.as_secs_f64().max(1e-12))
-            .collect();
+    let mut push_curve = |kernel: &str, size: String, times: Vec<f64>| -> Result<()> {
+        let speedup: Vec<f64> = times.iter().map(|t| times[0] / t).collect();
         let tf: Vec<f64> = threads.iter().map(|&t| t as f64).collect();
         let f = fit_amdahl(&tf, &speedup)?;
         let fit: Vec<f64> = tf.iter().map(|&p| amdahl_speedup(f, p)).collect();
@@ -763,19 +745,25 @@ pub fn measure_scaling(config: &GapConfig) -> Result<Vec<ScalingCurve>> {
         });
         Ok(())
     };
+    let mismatch = |kernel: &str| format!("E6 {kernel}: a thread count disagrees with serial");
 
     // matmul — compute-bound, near-linear.
     {
         let n = if config.quick { 48 } else { 192 };
         let a = matmul::gen_matrix(n, 1);
         let b = matmul::gen_matrix(n, 2);
-        let mut times = Vec::new();
-        for &t in &threads {
-            let mut sink = 0.0;
-            let m = measure(reps, || matmul::parallel(&a, &b, n, t)[0], |v| sink += v);
-            assert!(sink.is_finite());
-            times.push(m.median);
-        }
+        let reference = matmul::blocked(&a, &b, n);
+        let tol = f64::EPSILON * n as f64 * 8.0;
+        let times = thread_medians(
+            reps,
+            &threads,
+            |t| matmul::parallel(&a, &b, n, t),
+            |c| {
+                verify(close_slices(&reference, &c, MAX_ULPS, tol), || {
+                    mismatch("matmul")
+                })
+            },
+        )?;
         push_curve("matmul", format!("{n}x{n}"), times)?;
     }
 
@@ -787,30 +775,26 @@ pub fn measure_scaling(config: &GapConfig) -> Result<Vec<ScalingCurve>> {
             (512, 512, 20)
         };
         let g = stencil::gen_grid(rows, cols, 3);
-        let mut times = Vec::new();
-        for &t in &threads {
-            let mut sink = 0.0;
-            let m = measure(
-                reps,
-                || stencil::parallel(&g, rows, cols, sweeps, t)[rows * cols / 2],
-                |v| sink += v,
-            );
-            assert!(sink.is_finite());
-            times.push(m.median);
-        }
+        let reference = stencil::optimized(&g, rows, cols, sweeps);
+        let times = thread_medians(
+            reps,
+            &threads,
+            |t| stencil::parallel(&g, rows, cols, sweeps, t),
+            |grid| verify(grid == reference, || mismatch("stencil")),
+        )?;
         push_curve("stencil", format!("{rows}x{cols}x{sweeps}"), times)?;
     }
 
-    // mc-pi — embarrassingly parallel.
+    // mc-pi — embarrassingly parallel. Each thread count draws its own
+    // sample, so the check is statistical.
     {
         let n: u64 = if config.quick { 100_000 } else { 4_000_000 };
-        let mut times = Vec::new();
-        for &t in &threads {
-            let mut sink = 0.0;
-            let m = measure(reps, || montecarlo::pi_parallel(n, 7, t), |v| sink += v);
-            assert!(sink.is_finite());
-            times.push(m.median);
-        }
+        let times = thread_medians(
+            reps,
+            &threads,
+            |t| montecarlo::pi_parallel(n, 7, t),
+            |est| verify_pi("E6 mc-pi", est, n),
+        )?;
         push_curve("mc-pi", format!("samples={n}"), times)?;
     }
 
@@ -818,13 +802,14 @@ pub fn measure_scaling(config: &GapConfig) -> Result<Vec<ScalingCurve>> {
     {
         let n = if config.quick { 1 << 20 } else { 1 << 25 };
         let xs = reduce::gen_data(n, 9);
-        let mut times = Vec::new();
-        for &t in &threads {
-            let mut sink = 0.0;
-            let m = measure(reps, || reduce::sum_parallel(&xs, t), |v| sink += v);
-            assert!(sink.is_finite());
-            times.push(m.median);
-        }
+        let reference = reduce::sum_naive(&xs);
+        let tol = chain_tol(n, xs.iter().map(|v| v.abs()).sum());
+        let times = thread_medians(
+            reps,
+            &threads,
+            |t| reduce::sum_parallel(&xs, t),
+            |sum| verify(close(reference, sum, MAX_ULPS, tol), || mismatch("sum")),
+        )?;
         push_curve("sum", format!("n={n}"), times)?;
     }
 
@@ -832,7 +817,6 @@ pub fn measure_scaling(config: &GapConfig) -> Result<Vec<ScalingCurve>> {
     // work-stealing series separates from static partitioning (E17's
     // headline, shown here on the E6 scaling axes).
     {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let (n, max_nnz) = if config.quick {
             (2_000, 64)
         } else {
@@ -840,31 +824,40 @@ pub fn measure_scaling(config: &GapConfig) -> Result<Vec<ScalingCurve>> {
         };
         let m = spmv::gen_sparse(n, max_nnz, 3);
         let x = dotaxpy::gen_vector(n, 9);
+        let reference: Vec<u64> = spmv::serial(&m, &x).iter().map(|v| v.to_bits()).collect();
+        let slots: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         for sched in [par::Scheduler::SpawnStatic, par::Scheduler::WorkStealing] {
-            let slots: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let mut times = Vec::new();
-            for &t in &threads {
-                let mut sink = 0.0;
-                let meas = measure(
-                    reps,
-                    || {
-                        sched.for_each(n, t, 32, |s, e| {
-                            for (r, slot) in slots.iter().enumerate().take(e).skip(s) {
-                                slot.store(spmv::row_dot(&m, &x, r).to_bits(), Ordering::Relaxed);
-                            }
-                        });
-                        f64::from_bits(slots[n / 2].load(Ordering::Relaxed))
-                    },
-                    |v| sink += v,
-                );
-                assert!(sink.is_finite());
-                times.push(meas.median);
-            }
-            push_curve(
-                &format!("spmv ({})", sched.name()),
-                format!("n={n} nnz<={max_nnz}"),
-                times,
-            )?;
+            let kernel = format!("spmv ({})", sched.name());
+            // Zeroed before each thread count, so a count that skips rows
+            // cannot pass on the previous count's values.
+            let times = threads
+                .iter()
+                .map(|&t| {
+                    slots.iter().for_each(|s| s.store(0, Ordering::Relaxed));
+                    let meas = measure(
+                        reps,
+                        || {
+                            sched.for_each(n, t, 32, |s, e| {
+                                for (r, slot) in slots.iter().enumerate().take(e).skip(s) {
+                                    slot.store(
+                                        spmv::row_dot(&m, &x, r).to_bits(),
+                                        Ordering::Relaxed,
+                                    );
+                                }
+                            })
+                        },
+                        |()| {
+                            let same = slots
+                                .iter()
+                                .zip(&reference)
+                                .all(|(s, &r)| s.load(Ordering::Relaxed) == r);
+                            verify(same, || mismatch(&kernel))
+                        },
+                    )?;
+                    Ok(meas.median_s)
+                })
+                .collect::<Result<Vec<f64>>>()?;
+            push_curve(&kernel, format!("n={n} nnz<={max_nnz}"), times)?;
         }
     }
 
@@ -877,7 +870,9 @@ mod tests {
 
     #[test]
     fn scripts_compute_correct_values() {
-        let run = |tier: ScriptRunner, src: &str| value_to_f64(tier(src).unwrap()).unwrap();
+        let run = |tier: fn(&str) -> rcr_minilang::Result<Value>, src: &str| {
+            value_to_f64(tier(src).unwrap()).unwrap()
+        };
         // Small sizes, exact expectations computed natively.
         let n = 100;
         let a = script_vec_a(n);
@@ -1012,7 +1007,7 @@ mod tests {
         assert_eq!(Tier::VmJit.name(), "JIT VM");
         // `get` routes each enum member to the matching struct field.
         let t = TierTimes {
-            vm_fused: Some(TierTime {
+            vm_fused: Some(Measurement {
                 median_s: 1.0,
                 runs: 1,
             }),
@@ -1026,7 +1021,7 @@ mod tests {
     #[test]
     fn native_best_serial_is_the_faster_serial_tier() {
         let tt = |s: f64| {
-            Some(TierTime {
+            Some(Measurement {
                 median_s: s,
                 runs: 1,
             })
@@ -1054,7 +1049,7 @@ mod tests {
     #[test]
     fn gap_closure_handles_missing_and_degenerate_tiers() {
         let tt = |s: f64| {
-            Some(TierTime {
+            Some(Measurement {
                 median_s: s,
                 runs: 1,
             })
@@ -1141,16 +1136,70 @@ mod tests {
 
     #[test]
     fn verification_failure_is_detected() {
-        assert!(verify_close("t", 1.0, 1.0, 0.0).is_ok());
-        let e = verify_close("t", 1.0, 2.0, 1e-9).unwrap_err();
+        // The native parallel mc-π arm answers to the statistical bound.
+        let n = 200_000;
+        assert!(verify_pi("t", montecarlo::pi_parallel(n, 42, 2), n).is_ok());
+        let e = verify_pi("t", 3.2, n).unwrap_err();
         assert!(matches!(e, Error::VerificationFailed(_)));
     }
 
     #[test]
     fn bitwise_verification_rejects_divergence() {
-        let ok = verify_bits("k", &[("a", 1.5), ("b", 1.5)]).unwrap();
-        assert_eq!(ok, 1.5f64.to_bits());
-        let err = verify_bits("k", &[("a", 1.5), ("b", 1.5 + 1e-15)]).unwrap_err();
+        assert!(same_bits("k", Tier::Vm, 1.5, 1.5).is_ok());
+        let err = same_bits("k", Tier::Vm, 1.5 + 1e-15, 1.5).unwrap_err();
         assert!(matches!(err, Error::VerificationFailed(_)), "{err}");
+        assert!(err.to_string().contains("bytecode VM"), "{err}");
+    }
+
+    #[test]
+    fn perturbed_native_arm_fails_before_timing() {
+        let (n, reps) = (1000, 3);
+        let (a, b) = (script_vec_a(n), script_vec_b(n));
+        let script = dotaxpy::dot_naive(&a, &b);
+        assert!(native_dot(n, script, reps, 2).is_ok());
+        // A reference one ULP off fails the first arm's check.
+        let off = f64::from_bits(script.to_bits() + 1);
+        let err = native_dot(n, off, reps, 2).unwrap_err();
+        assert!(err.to_string().contains("native naive"), "{err}");
+        // A parallel arm that drops one term runs once and is never timed.
+        let calls = std::cell::Cell::new(0);
+        let err = time_native(
+            reps,
+            [
+                &|| dotaxpy::dot_naive(&a, &b),
+                &|| dotaxpy::dot_optimized(&a, &b),
+                &|| {
+                    calls.set(calls.get() + 1);
+                    dotaxpy::dot_parallel(&a[..n - 1], &b[..n - 1], 2)
+                },
+            ],
+            |tier, v| same_bits("dot", tier, v, script),
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::VerificationFailed(_)), "{err}");
+        assert!(err.to_string().contains("native parallel"), "{err}");
+        assert_eq!(calls.get(), 1, "only the warm-up ran");
+    }
+
+    #[test]
+    fn perturbed_scaling_arm_fails_before_timing() {
+        let xs = reduce::gen_data(4096, 9);
+        let reference = reduce::sum_naive(&xs);
+        let tol = chain_tol(xs.len(), xs.iter().map(|v| v.abs()).sum());
+        let calls = [0, 1, 2].map(|_| std::cell::Cell::new(0));
+        let err = thread_medians(
+            3,
+            &[1, 2],
+            |t| {
+                calls[t].set(calls[t].get() + 1);
+                // The two-thread arm loses the last element.
+                reduce::sum_parallel(&xs[..xs.len() + 1 - t], t)
+            },
+            |sum| verify(close(reference, sum, MAX_ULPS, tol), || "sum".into()),
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::VerificationFailed(_)), "{err}");
+        assert_eq!(calls[1].get(), 4, "one warm-up and three timed runs");
+        assert_eq!(calls[2].get(), 1, "the perturbed count is never timed");
     }
 }

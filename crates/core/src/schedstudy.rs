@@ -20,19 +20,20 @@
 //!
 //! Every workload writes each output element as a pure function of its
 //! index into an atomic slot array, so results are bitwise identical
-//! across schedulers and thread counts; each arm's FNV checksum is
-//! verified against the serial reference before its timing is reported.
+//! across schedulers and thread counts; each arm's FNV checksum over its
+//! warm-up output is verified against the serial reference before the arm
+//! is timed ([`crate::harness`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
 
-use rcr_kernels::harness::measure;
 use rcr_kernels::par::Scheduler;
 use rcr_kernels::{dotaxpy, matmul, spmv};
 
+use crate::harness::{measure, verify};
 use crate::perfgap::GapConfig;
-use crate::{Error, Result};
+use crate::Result;
 
 /// One (workload, scheduler) cell of the E17 ablation.
 #[derive(Debug, Clone, Serialize)]
@@ -54,7 +55,7 @@ pub struct SchedPoint {
     /// Parallel efficiency: `serial_s / (threads × median_s)`.
     pub efficiency: f64,
     /// FNV-1a checksum over the output bits (identical across schedulers
-    /// by construction, verified before timing is reported).
+    /// by construction, verified before the arm is timed).
     pub checksum: u64,
 }
 
@@ -83,11 +84,11 @@ fn study<F>(
 where
     F: Fn(usize, usize) + Sync,
 {
+    let clear = || slots.iter().for_each(|s| s.store(0, Ordering::Relaxed));
     // Serial reference: result checksum and single-thread time.
-    for s in slots {
-        s.store(0, Ordering::Relaxed);
-    }
-    let m_serial = measure(
+    clear();
+    let mut reference = 0;
+    let serial_s = measure(
         reps,
         || {
             for _ in 0..calls {
@@ -96,33 +97,35 @@ where
                 }
             }
         },
-        |()| {},
-    );
-    let serial_s = m_serial.median.as_secs_f64();
-    let reference = checksum(slots);
+        |()| {
+            reference = checksum(slots);
+            Ok(())
+        },
+    )?
+    .median_s;
 
     let mut static_s = None;
     for sched in Scheduler::ALL {
-        for s in slots {
-            s.store(0, Ordering::Relaxed);
-        }
-        let m = measure(
+        clear();
+        let mut got = 0;
+        let median_s = measure(
             reps,
             || {
                 for _ in 0..calls {
                     sched.for_each(n, threads, chunk, &body);
                 }
             },
-            |()| {},
-        );
-        let got = checksum(slots);
-        if got != reference {
-            return Err(Error::VerificationFailed(format!(
-                "E17 {name}/{}: checksum {got:#x} != serial {reference:#x}",
-                sched.name()
-            )));
-        }
-        let median_s = m.median.as_secs_f64();
+            |()| {
+                got = checksum(slots);
+                verify(got == reference, || {
+                    format!(
+                        "E17 {name}/{}: checksum {got:#x} != serial {reference:#x}",
+                        sched.name()
+                    )
+                })
+            },
+        )?
+        .median_s;
         let baseline = *static_s.get_or_insert(median_s);
         out.push(SchedPoint {
             workload: name.to_owned(),
@@ -131,8 +134,8 @@ where
             calls,
             median_s,
             per_call_us: median_s / calls as f64 * 1e6,
-            speedup_vs_spawn_static: baseline / median_s.max(1e-12),
-            efficiency: serial_s / (threads as f64 * median_s.max(1e-12)),
+            speedup_vs_spawn_static: baseline / median_s,
+            efficiency: serial_s / (threads as f64 * median_s),
             checksum: got,
         });
     }
@@ -142,7 +145,7 @@ where
 /// Runs the E17 scheduler ablation: 4 workloads × 3 schedulers.
 ///
 /// # Errors
-/// [`Error::VerificationFailed`] when a scheduler's output checksum
+/// [`crate::Error::VerificationFailed`] when a scheduler's output checksum
 /// disagrees with the serial reference.
 pub fn run(config: &GapConfig) -> Result<Vec<SchedPoint>> {
     let reps = if config.quick { 3 } else { 5 };

@@ -26,11 +26,11 @@
 //! scenario, not a verification nuisance), and each arm's verification
 //! run replays the text through the streaming parser
 //! [`rcr_cluster::swf::stream_jobs`] without materializing it — the
-//! timed repetitions then reuse the materialized list so parse cost
-//! never pollutes the events/sec numbers. The streamed and materialized
-//! digests are asserted equal, pinning parser and simulator together.
-
-use std::time::Instant;
+//! timed repetitions ([`crate::harness`]) then replay a fresh copy of the
+//! materialized list, made outside the clock, so parse cost never
+//! pollutes the events/sec numbers. The harness's warm-up materialized
+//! replay must reproduce the streamed digest before any replay is timed,
+//! pinning parser and simulator together.
 
 use serde::Serialize;
 
@@ -39,8 +39,8 @@ use rcr_cluster::sched::Policy;
 use rcr_cluster::swf::{from_swf, stream_jobs, to_swf};
 use rcr_cluster::windowed::{WindowedSim, WindowedSpec};
 use rcr_cluster::workload::{generate_checked, WorkloadSpec};
-use rcr_stats::descriptive::median;
 
+use crate::harness::{measure_with, verify};
 use crate::perfgap::GapConfig;
 use crate::{Error, Result};
 
@@ -216,21 +216,17 @@ pub fn run(seed: u64, config: &GapConfig) -> Result<Vec<SimPoint>> {
                 Some(_) => {}
             }
             // Timed replays on the materialized canonical jobs.
-            let mut times = Vec::with_capacity(reps);
-            let mut timed_digest = digest;
-            for _ in 0..reps {
-                let replay = jobs.clone();
-                let t0 = Instant::now();
-                let timed = sim.run(replay)?;
-                times.push(t0.elapsed().as_secs_f64());
-                timed_digest = timed.digest();
-            }
-            if timed_digest != digest {
-                return Err(Error::VerificationFailed(format!(
-                    "E23 {arm}: materialized replay diverges from the SWF stream"
-                )));
-            }
-            let m = median(&times)?.max(1e-12);
+            let m = measure_with(
+                reps,
+                || jobs.clone(),
+                |replay| sim.run(replay),
+                |timed| {
+                    verify(timed?.digest() == digest, || {
+                        format!("E23 {arm}: materialized replay diverges from the SWF stream")
+                    })
+                },
+            )?
+            .median_s;
             if arm == ARMS[0] {
                 heap_median = m;
             }

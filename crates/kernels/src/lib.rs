@@ -36,7 +36,6 @@
 
 pub mod bitmap;
 pub mod dotaxpy;
-pub mod harness;
 pub mod matmul;
 pub mod montecarlo;
 pub mod par;

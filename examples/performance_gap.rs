@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ])
     .title("Performance ladder: median wall time per tier");
     for g in &gaps {
-        let cell = |t: Option<rcr_core::perfgap::TierTime>| {
+        let cell = |t: Option<rcr_core::harness::Measurement>| {
             t.map_or("—".to_owned(), |m| fmt::duration_s(m.median_s))
         };
         table.row([

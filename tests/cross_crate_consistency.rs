@@ -100,17 +100,24 @@ fn amdahl_fit_recovers_mc_pi_scaling_shape() {
     // onto. On a single-core machine (this repo's CI container has one) the
     // fit legitimately reports a serial fraction near 1, so the strong
     // assertion is gated on available parallelism.
-    use rcr_kernels::harness::measure;
+    use rcr_core::harness::{measure, verify};
     use rcr_kernels::montecarlo;
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = [1usize, 2, 4];
     let mut times = Vec::new();
     for &t in &threads {
-        let mut sink = 0.0;
-        let m = measure(3, || montecarlo::pi_parallel(600_000, 7, t), |v| sink += v);
-        assert!(sink.is_finite());
-        times.push(m.median.as_secs_f64());
+        let m = measure(
+            3,
+            || montecarlo::pi_parallel(600_000, 7, t),
+            |est| {
+                verify((est - std::f64::consts::PI).abs() < 0.02, || {
+                    est.to_string()
+                })
+            },
+        )
+        .expect("every thread count estimates π");
+        times.push(m.median_s);
     }
     let speedups: Vec<f64> = times.iter().map(|&t| times[0] / t).collect();
     let tf: Vec<f64> = threads.iter().map(|&t| t as f64).collect();
