@@ -110,6 +110,25 @@ pub enum Op {
     IndexSetF(u16, u16),
 }
 
+impl Op {
+    /// The instruction index this op may jump to, or `None` for a non-jump.
+    pub fn jump_target(mut self) -> Option<u32> {
+        self.jump_target_mut().copied()
+    }
+
+    /// The jump target of a jump op, for patching and remapping.
+    pub fn jump_target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Jump(t)
+            | Op::JumpIfFalse(t)
+            | Op::JumpIfFalsePeek(t)
+            | Op::JumpIfTruePeek(t)
+            | Op::JumpIfNotCmp(_, t) => Some(t),
+            _ => None,
+        }
+    }
+}
+
 /// A compiled function body.
 #[derive(Debug, Clone)]
 pub struct CompiledFn {
@@ -261,11 +280,10 @@ impl<'a> Compiler<'a> {
     }
 
     fn patch(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfFalsePeek(t) | Op::JumpIfTruePeek(t) => {
-                *t = target;
-            }
-            other => unreachable!("patching non-jump {other:?}"),
+        let op = &mut self.code[at];
+        match op.jump_target_mut() {
+            Some(t) => *t = target,
+            None => unreachable!("patching non-jump {op:?}"),
         }
     }
 

@@ -115,28 +115,7 @@ fn builtin_ret_ty(b: u16) -> Ty {
 }
 
 fn is_transfer(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Jump(_)
-            | Op::JumpIfFalse(_)
-            | Op::JumpIfFalsePeek(_)
-            | Op::JumpIfTruePeek(_)
-            | Op::JumpIfNotCmp(_, _)
-            | Op::CallFn(_, _)
-            | Op::Ret
-            | Op::RetNil
-    )
-}
-
-fn jump_target(op: &Op) -> Option<u32> {
-    match op {
-        Op::Jump(t)
-        | Op::JumpIfFalse(t)
-        | Op::JumpIfFalsePeek(t)
-        | Op::JumpIfTruePeek(t)
-        | Op::JumpIfNotCmp(_, t) => Some(*t),
-        _ => None,
-    }
+    op.jump_target().is_some() || matches!(op, Op::CallFn(_, _) | Op::Ret | Op::RetNil)
 }
 
 /// Slots an op reads (possibly before writing).
@@ -183,7 +162,7 @@ fn find_blocks(code: &[Op]) -> Option<Blocks> {
     let mut leader = vec![false; n];
     leader[0] = true;
     for (i, op) in code.iter().enumerate() {
-        if let Some(t) = jump_target(op) {
+        if let Some(t) = op.jump_target() {
             let t = t as usize;
             if t >= n {
                 return None;
@@ -215,25 +194,14 @@ fn successors(blocks: &Blocks, code: &[Op], b: usize, out: &mut Vec<u32>) {
     out.clear();
     let (start, end) = blocks.spans[b];
     debug_assert!(end > start);
-    let last = &code[end - 1];
-    match last {
-        Op::Jump(t) => out.push(blocks.id_at[&(*t as usize)]),
-        Op::JumpIfFalse(t)
-        | Op::JumpIfFalsePeek(t)
-        | Op::JumpIfTruePeek(t)
-        | Op::JumpIfNotCmp(_, t) => {
-            out.push(blocks.id_at[&(*t as usize)]);
-            if end < code.len() {
-                out.push(blocks.id_at[&end]);
-            }
-        }
-        Op::Ret | Op::RetNil => {}
-        _ => {
-            // CallFn or a plain op falling into a leader.
-            if end < code.len() {
-                out.push(blocks.id_at[&end]);
-            }
-        }
+    let last = code[end - 1];
+    if let Some(t) = last.jump_target() {
+        out.push(blocks.id_at[&(t as usize)]);
+    }
+    // Everything but an unconditional jump or a return may fall through
+    // (conditional jumps, `CallFn`, a plain op running into a leader).
+    if !matches!(last, Op::Jump(_) | Op::Ret | Op::RetNil) && end < code.len() {
+        out.push(blocks.id_at[&end]);
     }
 }
 

@@ -1,5 +1,7 @@
-//! The ResearchScript linter: orchestrates name resolution, control-flow,
-//! and dataflow analyses into coded diagnostics (`W001`–`W008`).
+//! The ResearchScript linter: one scoped walk per region (the top level,
+//! or one function body) yields the classic findings `W001`–`W007`; the
+//! abstract interpreter ([`crate::absint`]) adds the semantic ones from
+//! `W008` on.
 //!
 //! Entry points: [`lint`] on a parsed [`Program`], or [`lint_source`]
 //! straight from source text. Diagnostics come back sorted by line then
@@ -15,18 +17,26 @@
 //! | W006 | arity-mismatch | `sqrt(1, 2)` |
 //! | W007 | shadowing | `let x = 1; { let x = 2; }` |
 //! | W008 | division-by-zero | `n / 0` |
+//!
+//! Every construct nests and there is no `goto`, so reachability needs no
+//! control-flow graph. A statement *cannot complete normally* when it is
+//! a `return`, `break` or `continue`; an `if` with an `else` whose
+//! branches both cannot; or a `{ }` block holding such a statement. Loops
+//! always complete (a constant loop condition is W005's finding, not
+//! dead code). The statement after one that cannot complete starts a dead
+//! stretch: it gets one W004, and the walk's `live` flag stays down until
+//! the enclosing branch or loop body ends. Every `let` has an initializer,
+//! so a name in scope is always assigned; resolution against the scope
+//! stack is the whole use-before-assignment story.
 
 use std::collections::{BTreeSet, HashMap};
 
 use crate::ast::{Block, Expr, ExprKind, Program, Stmt, StmtKind};
 use crate::builtins;
-use crate::cfg::{Action, Cfg};
-use crate::dataflow;
 use crate::diagnostics::{Code, Diagnostic};
 use crate::error::Result;
 use crate::optimize::fold;
 use crate::parser::parse;
-use crate::resolve::SymKind;
 
 /// Lints source text: parse, then [`lint`].
 ///
@@ -61,20 +71,15 @@ pub fn lint_with_analysis(
             .collect(),
         called: BTreeSet::new(),
         out: Vec::new(),
+        symbols: Vec::new(),
+        visible: Vec::new(),
+        unresolved_reads: BTreeSet::new(),
+        unresolved_writes: Vec::new(),
+        live: true,
     };
-
-    // Region analyses: the top level, then each function body.
-    l.region(&[], &program.main);
+    l.region(&[], 0, &program.main);
     for f in &program.functions {
-        let params: Vec<(String, u32)> = f.params.iter().map(|p| (p.clone(), f.line)).collect();
-        l.region(&params, &f.body);
-    }
-
-    // Syntactic walks (conditions, arities, constant divisors) see the whole
-    // program, and record which functions are ever called.
-    l.walk_block(&program.main);
-    for f in &program.functions {
-        l.walk_block(&f.body);
+        l.region(&f.params, f.line, &f.body);
     }
 
     // W003 for whole functions: defined but never called.
@@ -90,19 +95,48 @@ pub fn lint_with_analysis(
 
     let mut out = l.out;
     // Semantic findings (W008–W012) from the abstract-interpretation
-    // fixpoint join the syntactic and CFG-based walks above.
+    // fixpoint join the walk's findings.
     out.extend(analysis.diagnostics.iter().cloned());
     out.sort();
     out.dedup_by(|a, b| a.line == b.line && a.code == b.code && a.message == b.message);
     out
 }
 
+/// What introduced a binding.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Param,
+    Local,
+    LoopVar,
+}
+
+/// One binding of a region.
+struct Symbol<'p> {
+    name: &'p str,
+    kind: Kind,
+    line: u32,
+    /// Read anywhere in the region, dead code included.
+    read: bool,
+}
+
 struct Linter<'p> {
     /// User function name → arity.
     fns: HashMap<&'p str, usize>,
     /// Function names called anywhere in the program.
-    called: BTreeSet<String>,
+    called: BTreeSet<&'p str>,
     out: Vec<Diagnostic>,
+
+    // ---- per-region state, reset by `region` ----
+    /// Every binding declared in the region, in declaration order.
+    symbols: Vec<Symbol<'p>>,
+    /// Indices into `symbols` of the bindings in scope, innermost last.
+    visible: Vec<usize>,
+    /// Live reads of names with no binding in scope.
+    unresolved_reads: BTreeSet<(&'p str, u32)>,
+    /// Live writes to names with no binding in scope.
+    unresolved_writes: Vec<(&'p str, u32)>,
+    /// False inside a dead stretch that already has its W004.
+    live: bool,
 }
 
 impl<'p> Linter<'p> {
@@ -110,136 +144,144 @@ impl<'p> Linter<'p> {
         self.out.push(Diagnostic::new(code, line, message));
     }
 
-    /// Flow-sensitive analyses for one function region.
-    fn region(&mut self, params: &[(String, u32)], body: &Block) {
-        let cfg = Cfg::build(params, body);
-        let reach = dataflow::reachability(&cfg);
-
-        // W004: unreachable frontiers.
-        for line in &reach.unreachable_lines {
-            self.warn(
-                Code::UnreachableCode,
-                *line,
-                "unreachable code (control flow never arrives here)",
-            );
+    /// Walks one region: `params` (declared on `line`) sit in a scope
+    /// outside `body`. Name findings are judged once the whole region has
+    /// been seen, since a binding anywhere in it turns W001 into W002.
+    fn region(&mut self, params: &'p [String], line: u32, body: &'p Block) {
+        self.symbols.clear();
+        self.visible.clear();
+        self.live = true;
+        for p in params {
+            self.declare(p, Kind::Param, line);
         }
+        self.walk_block(body);
 
-        // W001 / W002 from resolution: a name with no binding anywhere in
-        // the region is a typo; one declared elsewhere (later, or in a
-        // sibling scope) is a use before its binding exists.
-        let mut read_unresolved: BTreeSet<(String, u32)> = BTreeSet::new();
-        for (i, blk) in cfg.blocks.iter().enumerate() {
-            if !reach.reachable[i] {
-                continue; // dead code already has its W004
-            }
-            for a in &blk.actions {
-                if let Action::ReadUnresolved { name, line } = a {
-                    read_unresolved.insert((name.clone(), *line));
-                    if cfg.table.declared_anywhere(name) {
-                        self.warn(
-                            Code::UseBeforeAssignment,
-                            *line,
-                            format!("`{name}` is used before any binding for it is in scope"),
-                        );
-                    } else {
-                        self.warn(
-                            Code::UndefinedVariable,
-                            *line,
-                            format!("undefined variable `{name}`"),
-                        );
-                    }
-                }
-            }
+        let reads = std::mem::take(&mut self.unresolved_reads);
+        let writes = std::mem::take(&mut self.unresolved_writes);
+        for &(name, line) in &reads {
+            self.unresolved(name, line, false);
         }
-        for (i, blk) in cfg.blocks.iter().enumerate() {
-            if !reach.reachable[i] {
-                continue;
-            }
-            for a in &blk.actions {
-                if let Action::WriteUnresolved { name, line } = a {
-                    // A read of the same name on the same line already told
-                    // the story (`acc = acc + 1` with the `let` dropped).
-                    if read_unresolved.contains(&(name.clone(), *line)) {
-                        continue;
-                    }
-                    if cfg.table.declared_anywhere(name) {
-                        self.warn(
-                            Code::UseBeforeAssignment,
-                            *line,
-                            format!("`{name}` is assigned before any binding for it is in scope"),
-                        );
-                    } else {
-                        self.warn(
-                            Code::UndefinedVariable,
-                            *line,
-                            format!("assignment to undefined variable `{name}`"),
-                        );
-                    }
-                }
-            }
-        }
-
-        // W002 from the must-analysis (belt and braces: mandatory `let`
-        // initializers make these rare, but the CFG is the authority).
-        for v in dataflow::definite_assignment(&cfg, &reach.reachable) {
-            let name = &cfg.table.symbols[v.sym].name;
-            self.warn(
-                Code::UseBeforeAssignment,
-                v.line,
-                format!("`{name}` may be read before it is assigned"),
-            );
-        }
-
-        // W007: shadowing events recorded during the build.
-        for s in &cfg.shadows {
-            self.warn(
-                Code::Shadowing,
-                s.line,
-                format!(
-                    "`{}` shadows the binding declared on line {}",
-                    s.name, s.shadowed_line
-                ),
-            );
+        // A read on the same line already told the story of a write
+        // (`acc = acc + 1` with the `let` dropped).
+        for &(name, line) in writes.iter().filter(|w| !reads.contains(w)) {
+            self.unresolved(name, line, true);
         }
 
         // W003: bindings never read. Loop variables are exempt (an unused
         // index is idiomatic), as is anything spelled with a `_` prefix.
-        let mut read: BTreeSet<usize> = BTreeSet::new();
-        for blk in &cfg.blocks {
-            for a in &blk.actions {
-                if let Action::Read { sym, .. } = a {
-                    read.insert(*sym);
-                }
-            }
-        }
-        for s in &cfg.table.symbols {
-            if read.contains(&s.id) || s.name.starts_with('_') || s.kind == SymKind::LoopVar {
+        for s in &self.symbols {
+            if s.read || s.name.starts_with('_') || s.kind == Kind::LoopVar {
                 continue;
             }
-            let what = match s.kind {
-                SymKind::Param => "parameter",
-                _ => "variable",
+            let what = if s.kind == Kind::Param {
+                "parameter"
+            } else {
+                "variable"
             };
-            self.warn(
+            self.out.push(Diagnostic::new(
                 Code::Unused,
                 s.line,
                 format!("{what} `{}` is never read", s.name),
+            ));
+        }
+    }
+
+    /// Judges a live read or write of `name` with no binding in scope:
+    /// W002 when the region binds it anywhere, in scope or not (a dropped
+    /// `let`), W001 when it binds it nowhere (a typo).
+    fn unresolved(&mut self, name: &str, line: u32, write: bool) {
+        let declared = self.symbols.iter().any(|s| s.name == name);
+        let (code, message) = match (declared, write) {
+            (true, false) => (
+                Code::UseBeforeAssignment,
+                format!("`{name}` is used before any binding for it is in scope"),
+            ),
+            (true, true) => (
+                Code::UseBeforeAssignment,
+                format!("`{name}` is assigned before any binding for it is in scope"),
+            ),
+            (false, false) => (
+                Code::UndefinedVariable,
+                format!("undefined variable `{name}`"),
+            ),
+            (false, true) => (
+                Code::UndefinedVariable,
+                format!("assignment to undefined variable `{name}`"),
+            ),
+        };
+        self.warn(code, line, message);
+    }
+
+    /// The innermost binding of `name` in scope.
+    fn resolve(&self, name: &str) -> Option<usize> {
+        self.visible
+            .iter()
+            .rev()
+            .copied()
+            .find(|&i| self.symbols[i].name == name)
+    }
+
+    /// Binds `name` in the innermost scope (W007 when it hides a binding).
+    fn declare(&mut self, name: &'p str, kind: Kind, line: u32) {
+        if let Some(old) = self.resolve(name) {
+            let shadowed = self.symbols[old].line;
+            self.warn(
+                Code::Shadowing,
+                line,
+                format!("`{name}` shadows the binding declared on line {shadowed}"),
             );
         }
+        self.visible.push(self.symbols.len());
+        self.symbols.push(Symbol {
+            name,
+            kind,
+            line,
+            read: false,
+        });
     }
 
-    // ---- syntactic walks: W001 (unknown calls), W005, W006, W008 ----
-
-    fn walk_block(&mut self, block: &Block) {
+    /// Walks `block` in its own scope and returns whether it can complete
+    /// normally.
+    fn walk_block(&mut self, block: &'p Block) -> bool {
+        let scope = self.visible.len();
+        let mut completes = true;
         for s in block {
-            self.walk_stmt(s);
+            if !completes && self.live {
+                self.warn(
+                    Code::UnreachableCode,
+                    s.line,
+                    "unreachable code (control flow never arrives here)",
+                );
+                self.live = false;
+            }
+            completes &= self.walk_stmt(s);
         }
+        self.visible.truncate(scope);
+        completes
     }
 
-    fn walk_stmt(&mut self, stmt: &Stmt) {
+    /// Walks a branch or loop body: a dead stretch inside it ends with it.
+    fn walk_nested(&mut self, block: &'p Block) -> bool {
+        let live = self.live;
+        let completes = self.walk_block(block);
+        self.live = live;
+        completes
+    }
+
+    /// Walks one statement and returns whether it can complete normally.
+    fn walk_stmt(&mut self, stmt: &'p Stmt) -> bool {
         match &stmt.kind {
-            StmtKind::Let { init, .. } => self.walk_expr(init),
-            StmtKind::Assign { value, .. } => self.walk_expr(value),
+            StmtKind::Let { name, init } => {
+                // The initializer evaluates before the binding exists.
+                self.walk_expr(init);
+                self.declare(name, Kind::Local, stmt.line);
+            }
+            StmtKind::Assign { name, value } => {
+                self.walk_expr(value);
+                if self.resolve(name).is_none() && self.live {
+                    self.unresolved_writes.push((name.as_str(), stmt.line));
+                }
+            }
             StmtKind::IndexAssign { base, index, value } => {
                 self.walk_expr(base);
                 self.walk_expr(index);
@@ -259,8 +301,9 @@ impl<'p> Linter<'p> {
                         format!("condition is always {always}"),
                     );
                 }
-                self.walk_block(then_block);
-                self.walk_block(else_block);
+                // An absent `else` is an empty block, which completes.
+                let then_completes = self.walk_nested(then_block);
+                return self.walk_nested(else_block) || then_completes;
             }
             StmtKind::While { cond, body } => {
                 self.walk_expr(cond);
@@ -280,41 +323,54 @@ impl<'p> Linter<'p> {
                     ),
                     None => {}
                 }
-                self.walk_block(body);
+                self.walk_nested(body);
             }
             StmtKind::ForRange {
-                start, end, body, ..
+                var,
+                start,
+                end,
+                body,
             } => {
+                // Bounds evaluate once, before the loop variable exists;
+                // the variable lives in a scope wrapping the body.
                 self.walk_expr(start);
                 self.walk_expr(end);
-                self.walk_block(body);
+                let scope = self.visible.len();
+                self.declare(var, Kind::LoopVar, stmt.line);
+                self.walk_nested(body);
+                self.visible.truncate(scope);
             }
             StmtKind::Return(v) => {
                 if let Some(e) = v {
                     self.walk_expr(e);
                 }
+                return false;
             }
-            StmtKind::Break | StmtKind::Continue => {}
-            StmtKind::Block(b) => self.walk_block(b),
+            StmtKind::Break | StmtKind::Continue => return false,
+            StmtKind::Block(b) => return self.walk_block(b),
         }
+        true
     }
 
-    fn walk_expr(&mut self, e: &Expr) {
+    fn walk_expr(&mut self, e: &'p Expr) {
         match &e.kind {
-            ExprKind::Num(_)
-            | ExprKind::Str(_)
-            | ExprKind::Bool(_)
-            | ExprKind::Nil
-            | ExprKind::Var(_) => {}
+            ExprKind::Num(_) | ExprKind::Str(_) | ExprKind::Bool(_) | ExprKind::Nil => {}
+            ExprKind::Var(name) => match self.resolve(name) {
+                Some(i) => self.symbols[i].read = true,
+                None if self.live => {
+                    self.unresolved_reads.insert((name.as_str(), e.line));
+                }
+                None => {}
+            },
             ExprKind::Array(elems) => {
                 for el in elems {
                     self.walk_expr(el);
                 }
             }
             ExprKind::Bin { lhs, rhs, .. } => {
-                // W008 (division by zero) moved to the abstract interpreter,
-                // which proves the denominator zero through the interval
-                // lattice instead of pattern-matching a literal.
+                // W008 (division by zero) belongs to the abstract
+                // interpreter, which proves the denominator zero through
+                // the interval lattice instead of pattern-matching a literal.
                 self.walk_expr(lhs);
                 self.walk_expr(rhs);
             }
@@ -331,7 +387,7 @@ impl<'p> Linter<'p> {
                 for a in args {
                     self.walk_expr(a);
                 }
-                self.called.insert(name.clone());
+                self.called.insert(name.as_str());
                 if let Some(&arity) = self.fns.get(name.as_str()) {
                     if args.len() != arity {
                         self.warn(
@@ -408,6 +464,14 @@ mod tests {
             .collect()
     }
 
+    fn findings(src: &str) -> Vec<(Code, u32)> {
+        lint_source(src)
+            .expect("parses")
+            .iter()
+            .map(|d| (d.code, d.line))
+            .collect()
+    }
+
     #[test]
     fn w001_undefined_variable() {
         let ds = lint_source("let a = 1;\na + typo").unwrap();
@@ -417,6 +481,16 @@ mod tests {
         assert!(ds[0].message.contains("typo"));
         // Unknown function calls are W001 too.
         assert_eq!(codes("ghost(1)"), vec!["W001"]);
+        // A read and a write are judged on their own lines ...
+        let ds = lint_source("ghost;\nghost = 1;").unwrap();
+        let found: Vec<_> = ds.iter().map(|d| (d.code, d.line)).collect();
+        assert_eq!(
+            found,
+            vec![(Code::UndefinedVariable, 1), (Code::UndefinedVariable, 2)]
+        );
+        assert!(ds[1].message.contains("assignment"), "{ds:?}");
+        // ... but on one line the read tells the story alone.
+        assert_eq!(codes("ghost = ghost + 1;"), vec!["W001"]);
     }
 
     #[test]
@@ -432,8 +506,11 @@ mod tests {
             ds.iter().all(|d| d.code != Code::UndefinedVariable),
             "a later binding exists, so this is W002, not W001: {ds:?}"
         );
-        // Sibling-scope escape is also W002.
+        // Sibling-scope escape is also W002: a binding in a closed scope
+        // still counts as declared, a name bound nowhere does not.
         assert!(codes("if 1 < 0 { } let a = 1; { let b = a; b; } b").contains(&"W002"));
+        assert_eq!(codes("{ let gone = 1; gone; }\ngone"), vec!["W002"]);
+        assert_eq!(codes("{ let gone = 1; gone; }\nnever"), vec!["W001"]);
     }
 
     #[test]
@@ -452,6 +529,18 @@ mod tests {
         // Underscore names and loop variables are exempt.
         assert!(codes("let _scratch = 1; 2").is_empty());
         assert!(codes("let s = 0; for i in range(0, 3) { s = s + 1; } s").is_empty());
+        let ds =
+            lint_source("fn f(n) { let m = 1; for i in range(0, 2) { } return 0; } f(1)").unwrap();
+        let msgs: Vec<&str> = ds.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            msgs,
+            vec!["parameter `n` is never read", "variable `m` is never read"]
+        );
+        // A read in dead code still counts as a read.
+        assert_eq!(
+            findings("fn f() {\n let a = 1;\n return 0;\n a;\n}\nf()"),
+            vec![(Code::UnreachableCode, 4)]
+        );
     }
 
     #[test]
@@ -461,9 +550,61 @@ mod tests {
             .iter()
             .filter(|d| d.code == Code::UnreachableCode)
             .collect();
-        assert_eq!(w4.len(), 1, "one frontier report: {ds:?}");
+        assert_eq!(w4.len(), 1, "one report per dead chain: {ds:?}");
         assert_eq!(w4[0].line, 3);
         assert!(codes("for i in range(0, 3) { continue; 1 + 1; }").contains(&"W004"));
+        assert_eq!(w004_lines("while true {\n  break;\n  1 + 1;\n}"), vec![3]);
+        // A block that returns makes the next statement dead ...
+        assert_eq!(
+            w004_lines("fn f(x) {\n  { return 1; }\n  x;\n  x;\n}\nf(1)"),
+            vec![3]
+        );
+        // ... and a chain already reported inside the block runs on after it.
+        assert_eq!(
+            w004_lines("fn f(x) {\n  { return 1;\n x; }\n  x;\n}\nf(1)"),
+            vec![3]
+        );
+    }
+
+    /// Lines of the W004 findings in `src`.
+    fn w004_lines(src: &str) -> Vec<u32> {
+        lint_source(src)
+            .expect("parses")
+            .iter()
+            .filter(|d| d.code == Code::UnreachableCode)
+            .map(|d| d.line)
+            .collect()
+    }
+
+    #[test]
+    fn if_else_that_always_leaves_makes_the_rest_dead() {
+        let ds = lint_source(
+            "fn h(c) {\n if c { return 1; } else { return 2; }\n return typo1;\n}\nh(1)",
+        )
+        .unwrap();
+        assert_eq!(ds.len(), 1, "{ds:?}");
+        assert_eq!((ds[0].code, ds[0].line), (Code::UnreachableCode, 3));
+        // Without the `else` the fall-through path keeps the rest live.
+        assert!(codes("fn h(c) { if c { return 1; } return 2; } h(1)").is_empty());
+    }
+
+    #[test]
+    fn if_else_of_break_and_continue_in_a_loop_makes_the_rest_dead() {
+        let src = "for i in range(0, 3) {\n if i { break; } else { continue; }\n let z = 1;\n}";
+        let ds = lint_source(src).unwrap();
+        assert!(
+            ds.iter()
+                .any(|d| d.code == Code::UnreachableCode && d.line == 3),
+            "{ds:?}"
+        );
+    }
+
+    #[test]
+    fn dead_chain_is_reported_once_across_later_jumps() {
+        assert_eq!(
+            w004_lines("fn f(x) {\n return 1;\n return 2;\n x;\n}\nf(1)"),
+            vec![3]
+        );
     }
 
     #[test]
@@ -496,8 +637,24 @@ mod tests {
         assert_eq!(ds[0].code, Code::Shadowing);
         assert_eq!(ds[0].line, 2);
         assert!(ds[0].message.contains("line 1"));
-        // A loop variable shadowing an outer binding warns too.
+        // A loop variable shadowing an outer binding warns too, and a body
+        // `let` shadows the loop variable (it sits in a scope outside the
+        // body). Once the inner scope closes, the outer binding is the one
+        // read, so no W003.
         assert!(codes("let i = 9; for i in range(0, 2) { } i").contains(&"W007"));
+        assert_eq!(
+            codes("let i = 5; for i in range(0, 3) { i; } i"),
+            vec!["W007"]
+        );
+        assert_eq!(
+            findings("for i in range(0, 3) {\n let i = 1;\n i;\n}"),
+            vec![(Code::Shadowing, 2)]
+        );
+        // Redeclaring in the same scope shadows too.
+        assert_eq!(
+            findings("let v = 1;\nlet v = v + 1;\nv"),
+            vec![(Code::Shadowing, 2)]
+        );
         // Distinct scopes with the same name do not shadow.
         assert!(codes("{ let t = 1; t; } { let t = 2; t; }").is_empty());
     }
@@ -528,6 +685,14 @@ mod tests {
             "fn f(n) { if n < 2 { return n; } return f(n - 1) + f(n - 2); } f(10)",
             "let a = [1, 2, 3]; a[0] = a[1] + a[2]; a[0]",
             "let i = 0; while i < 10 { i = i + 1; } i",
+            "let a = 1; let b = a + 2; b",
+            "let a = 1; if a { a; } else { a + 1; } a",
+            "while true { break; } 1",
+            "let s = 0; for i in range(0, 3) { s = s + i; } s",
+            "let x = 1; if x > 0 { x = 2; } else { x = 3; } x",
+            "let i = 0; while i < 5 { i = i + 1; } i",
+            "let a = 1; { let b = a + 1; b; } a",
+            "fn f(a, b) { return a + b; } f(1, 2)",
         ] {
             let ds = lint_source(src).unwrap();
             assert!(ds.is_empty(), "false positive on clean program:\n{src}\n{ds:?}");

@@ -105,15 +105,8 @@ enum Action {
 /// Marks every jump target in `code`.
 fn leaders(code: &[Op]) -> Vec<bool> {
     let mut l = vec![false; code.len() + 1];
-    for op in code {
-        match op {
-            Op::Jump(t)
-            | Op::JumpIfFalse(t)
-            | Op::JumpIfFalsePeek(t)
-            | Op::JumpIfTruePeek(t)
-            | Op::JumpIfNotCmp(_, t) => l[*t as usize] = true,
-            _ => {}
-        }
+    for t in code.iter().filter_map(|op| op.jump_target()) {
+        l[t as usize] = true;
     }
     l
 }
@@ -142,15 +135,8 @@ fn rebuild(f: &CompiledFn, plan: Vec<Action>) -> CompiledFn {
         }
     }
     map[f.code.len()] = code.len() as u32;
-    for op in &mut code {
-        match op {
-            Op::Jump(t)
-            | Op::JumpIfFalse(t)
-            | Op::JumpIfFalsePeek(t)
-            | Op::JumpIfTruePeek(t)
-            | Op::JumpIfNotCmp(_, t) => *t = map[*t as usize],
-            _ => {}
-        }
+    for t in code.iter_mut().filter_map(Op::jump_target_mut) {
+        *t = map[*t as usize];
     }
     CompiledFn {
         name: f.name.clone(),
