@@ -282,7 +282,7 @@ impl Engine {
                 if self.attempts[job] != attempt {
                     return false;
                 }
-                let Some(pos) = self.running_pos(job) else {
+                let Some(pos) = self.running.position(job) else {
                     return false;
                 };
                 let r = self.running.swap_remove(pos);
@@ -342,7 +342,7 @@ impl Engine {
                 if self.attempts[job] != attempt {
                     return false;
                 }
-                let Some(pos) = self.running_pos(job) else {
+                let Some(pos) = self.running.position(job) else {
                     return false;
                 };
                 let r = self.running.remove(pos);
@@ -353,17 +353,10 @@ impl Engine {
         true
     }
 
-    /// Placement-order position of `job` among the running jobs.
-    fn running_pos(&self, job: usize) -> Option<usize> {
-        self.running
-            .as_slice()
-            .iter()
-            .position(|r| r.job_idx == job)
-    }
-
     /// Every arrived job is queued, running, or resolved; every up node is
     /// free or held by a running job; the queue's block summaries and the
-    /// running set's finish index agree with their contents.
+    /// running set's finish index and position map agree with their
+    /// contents.
     fn check_invariants(&self) {
         assert_eq!(
             self.arrived,

@@ -15,7 +15,9 @@
 //!   skips every block that cannot hold a candidate.
 //! * `RunningSet` keeps the running jobs in placement order beside an
 //!   index ordered by expected finish, so the head job's shadow time is a
-//!   walk over the earliest finishers rather than a sort of the whole set.
+//!   walk over the earliest finishers rather than a sort of the whole set,
+//!   and a map from job index to placement position, so a finish finds its
+//!   job without a scan.
 //!
 //! An EASY pass therefore costs O(blocks + candidates) rather than
 //! O(queue + running · log running), and it makes exactly the decisions of
@@ -210,20 +212,27 @@ impl WaitQueue {
     /// If `pos` does not name a queued job.
     pub(crate) fn remove(&mut self, pos: QueuePos) -> QueuedJob {
         let bi = pos.block;
-        let job = self.blocks[bi].jobs.remove(pos.offset);
+        let b = &mut self.blocks[bi];
+        let job = b.jobs.remove(pos.offset);
         self.len -= 1;
-        if self.blocks[bi].jobs.is_empty() {
+        if b.jobs.is_empty() {
             self.blocks.remove(bi);
             return job;
+        }
+        // Only a job that held one of the block's minima can raise it.
+        if job.nodes == b.min_nodes || job.estimate == b.min_est {
+            b.summarize();
         }
         // Appending the successor keeps every earlier position valid.
         if bi + 1 < self.blocks.len()
             && self.blocks[bi].jobs.len() + self.blocks[bi + 1].jobs.len() <= BLOCK
         {
             let next = self.blocks.remove(bi + 1);
-            self.blocks[bi].jobs.extend(next.jobs);
+            let b = &mut self.blocks[bi];
+            b.jobs.extend(next.jobs);
+            b.min_nodes = b.min_nodes.min(next.min_nodes);
+            b.min_est = b.min_est.min(next.min_est);
         }
-        self.blocks[bi].summarize();
         job
     }
 
@@ -263,7 +272,8 @@ impl WaitQueue {
     }
 }
 
-/// The running jobs, in placement order, with an index by expected finish.
+/// The running jobs, in placement order, with an index by expected finish
+/// and a map from job index to placement position.
 ///
 /// Placement order is what the fault injector's victim draw indexes, so
 /// [`RunningSet::remove`] and [`RunningSet::swap_remove`] keep the `Vec`
@@ -283,7 +293,13 @@ pub(crate) struct RunningSet {
     /// (`total_cmp`, which agrees with `partial_cmp` on the finite,
     /// non-negative times the simulator produces), then stamp.
     by_finish: Vec<(f64, u64, usize)>,
+    /// Placement position per job index, [`NOT_RUNNING`] for every job
+    /// not in the set; grown on demand to the largest index pushed.
+    pos: Vec<usize>,
 }
+
+/// A [`RunningSet`] position-map entry for a job that is not running.
+const NOT_RUNNING: usize = usize::MAX;
 
 impl RunningSet {
     /// An empty set.
@@ -306,15 +322,29 @@ impl RunningSet {
         &self.jobs
     }
 
+    /// Placement position of job `job_idx`, if it is running.
+    pub(crate) fn position(&self, job_idx: usize) -> Option<usize> {
+        self.pos.get(job_idx).copied().filter(|&p| p != NOT_RUNNING)
+    }
+
     /// Places a job after every running one.
     pub(crate) fn push(&mut self, job: RunningJob) {
         debug_assert!(job.expected_finish.is_finite(), "finite finish times");
+        debug_assert!(self.position(job.job_idx).is_none(), "job already running");
+        if job.job_idx >= self.pos.len() {
+            self.pos.resize(job.job_idx + 1, NOT_RUNNING);
+        }
+        self.pos[job.job_idx] = self.jobs.len();
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         self.jobs.push(job);
         self.stamps.push(stamp);
         self.held += job.nodes;
-        self.index(job.expected_finish, stamp, job.nodes);
+        let at = self
+            .slot(job.expected_finish, stamp)
+            .expect_err("stamps are unique");
+        self.by_finish
+            .insert(at, (job.expected_finish, stamp, job.nodes));
     }
 
     /// Removes the job at `pos`, shifting later jobs down, as
@@ -326,6 +356,10 @@ impl RunningSet {
         let job = self.jobs.remove(pos);
         let stamp = self.stamps.remove(pos);
         self.held -= job.nodes;
+        self.pos[job.job_idx] = NOT_RUNNING;
+        for later in &self.jobs[pos..] {
+            self.pos[later.job_idx] -= 1;
+        }
         self.unindex(job.expected_finish, stamp);
         job
     }
@@ -334,6 +368,11 @@ impl RunningSet {
     /// [`Vec::swap_remove`]. The moved job takes over the removed job's
     /// stamp, so stamps keep increasing along placement order.
     ///
+    /// The moved job's index entry is restamped where it sits: its finish
+    /// does not change and its stamp only falls, so it can only move left
+    /// within its run of equal finishes, past the entries whose stamps lie
+    /// between its new and old one.
+    ///
     /// # Panics
     /// If `pos` is out of bounds.
     pub(crate) fn swap_remove(&mut self, pos: usize) -> RunningJob {
@@ -341,10 +380,22 @@ impl RunningSet {
         let last_stamp = self.stamps.pop().expect("pos is in bounds");
         let stamp = self.stamps.get(pos).copied().unwrap_or(last_stamp);
         self.held -= job.nodes;
+        self.pos[job.job_idx] = NOT_RUNNING;
         self.unindex(job.expected_finish, stamp);
         if let Some(&moved) = self.jobs.get(pos) {
-            self.unindex(moved.expected_finish, last_stamp);
-            self.index(moved.expected_finish, stamp, moved.nodes);
+            self.pos[moved.job_idx] = pos;
+            let mut at = self
+                .slot(moved.expected_finish, last_stamp)
+                .expect("running jobs are indexed");
+            self.by_finish[at].1 = stamp;
+            while at > 0 {
+                let (t, s, _) = self.by_finish[at - 1];
+                if s < stamp || t.total_cmp(&moved.expected_finish).is_ne() {
+                    break;
+                }
+                self.by_finish.swap(at - 1, at);
+                at -= 1;
+            }
         }
         job
     }
@@ -353,11 +404,6 @@ impl RunningSet {
     fn slot(&self, finish: f64, stamp: u64) -> Result<usize, usize> {
         self.by_finish
             .binary_search_by(|&(t, s, _)| t.total_cmp(&finish).then(s.cmp(&stamp)))
-    }
-
-    fn index(&mut self, finish: f64, stamp: u64, nodes: usize) {
-        let at = self.slot(finish, stamp).expect_err("stamps are unique");
-        self.by_finish.insert(at, (finish, stamp, nodes));
     }
 
     fn unindex(&mut self, finish: f64, stamp: u64) {
@@ -395,8 +441,9 @@ impl RunningSet {
     }
 
     /// Asserts that stamps increase along placement order, that the held
-    /// node count is their sum, and that the finish index holds exactly
-    /// the running jobs, in order.
+    /// node count is their sum, that the finish index holds exactly the
+    /// running jobs, in order, and that the position map names each
+    /// running job's placement position and no other job.
     ///
     /// # Panics
     /// On any inconsistency.
@@ -415,6 +462,15 @@ impl RunningSet {
             let at = self.slot(j.expected_finish, stamp).expect("index entry");
             assert_eq!(self.by_finish[at].2, j.nodes, "index nodes");
         }
+        for (p, j) in self.jobs.iter().enumerate() {
+            assert_eq!(self.pos[j.job_idx], p, "position map entry");
+        }
+        let mapped = self.pos.iter().filter(|&&p| p != NOT_RUNNING).count();
+        assert_eq!(
+            mapped,
+            self.jobs.len(),
+            "position map holds only running jobs"
+        );
     }
 }
 
@@ -731,10 +787,12 @@ mod tests {
         queue
     }
 
+    /// A running set of `jobs`, numbered in placement order so that the
+    /// position map sees distinct job indices.
     fn running_set(jobs: &[RunningJob]) -> RunningSet {
         let mut running = RunningSet::new();
-        for j in jobs {
-            running.push(*j);
+        for (job_idx, j) in jobs.iter().enumerate() {
+            running.push(RunningJob { job_idx, ..*j });
         }
         running
     }
@@ -937,6 +995,25 @@ mod tests {
     }
 
     #[test]
+    fn swap_remove_restamps_the_moved_job_within_its_finish_run() {
+        // Jobs 0..4 take stamps 0..4. Removing job 0 moves job 3 (stamp 3)
+        // into its gap with stamp 0, and job 3's run of equal finishes at
+        // t=50 holds stamps 1 and 2, between its old and new stamp: its
+        // entry must move ahead of both to keep stable-sort order.
+        let mut set = running_set(&[r(1, 10.0), r(2, 50.0), r(3, 50.0), r(4, 50.0)]);
+        assert_eq!(set.swap_remove(0).job_idx, 0);
+        set.check();
+        let order: Vec<usize> = set.as_slice().iter().map(|j| j.job_idx).collect();
+        assert_eq!(order, vec![3, 1, 2]);
+        assert_eq!(
+            set.by_finish,
+            vec![(50.0, 0, 4), (50.0, 1, 2), (50.0, 2, 3)]
+        );
+        assert_eq!(set.position(3), Some(0));
+        assert_eq!(set.position(0), None);
+    }
+
+    #[test]
     fn requeue_keeps_priority_order_and_is_stable() {
         let mut queue = WaitQueue::new();
         for (i, priority) in [10.0, 30.0, 20.0, 20.0, 99.0].into_iter().enumerate() {
@@ -1021,10 +1098,11 @@ mod tests {
         proptest::collection::vec((0u32..5, 1usize..6, grid_time()), 0..60)
     }
 
-    /// Replays `history` on a [`RunningSet`] and a plain `Vec`.
+    /// Replays `history` on a [`RunningSet`] and a plain `Vec`, checking
+    /// the position of every job pushed so far after every op.
     fn replay_running(history: &[(u32, usize, f64)]) -> (RunningSet, Vec<RunningJob>) {
         let mut set = RunningSet::new();
-        let mut reference = Vec::new();
+        let mut reference: Vec<RunningJob> = Vec::new();
         for (i, &(op, nodes, finish)) in history.iter().enumerate() {
             if op < 3 || reference.is_empty() {
                 let job = RunningJob {
@@ -1041,6 +1119,10 @@ mod tests {
                 } else {
                     assert_eq!(set.remove(pos), reference.remove(pos));
                 }
+            }
+            for job_idx in 0..=i {
+                let want = reference.iter().position(|r| r.job_idx == job_idx);
+                assert_eq!(set.position(job_idx), want, "position of job {job_idx}");
             }
         }
         (set, reference)

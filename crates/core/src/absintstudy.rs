@@ -24,7 +24,7 @@
 //!
 //! Detection runs E15's protocol ([`lintstudy::run_protocol`]), so the
 //! unmutated corpus is the false-positive probe: every clean script must
-//! lint silent under all twelve warnings *and* execute successfully. The
+//! lint silent under all thirteen warnings *and* execute successfully. The
 //! probe's analyses of the clean scripts also feed the fact density.
 //! Everything derives from one seed.
 

@@ -1,6 +1,6 @@
 //! Diagnostic codes and records emitted by the static analyzer.
 //!
-//! Every finding carries a stable code (`W001`–`W012`), the 1-based source
+//! Every finding carries a stable code (`W001`–`W013`), the 1-based source
 //! line it anchors to, and a human message. [`Diagnostic`] displays as
 //! `line N: warning[Wnnn]: message`; the `rsc --check` driver prefixes the
 //! file name.
@@ -44,6 +44,9 @@ pub enum Code {
     /// body never breaks or returns: under the fuel model it can only end
     /// in fuel exhaustion.
     NonTerminatingLoop,
+    /// A `break` or `continue` with no enclosing loop in its function (or
+    /// at the top level): the bytecode compiler rejects the program.
+    JumpOutsideLoop,
 }
 
 impl Code {
@@ -62,6 +65,7 @@ impl Code {
             Code::TypeConfusion => "W010",
             Code::NumericDomain => "W011",
             Code::NonTerminatingLoop => "W012",
+            Code::JumpOutsideLoop => "W013",
         }
     }
 
@@ -80,11 +84,12 @@ impl Code {
             Code::TypeConfusion => "type-confusion",
             Code::NumericDomain => "numeric-domain",
             Code::NonTerminatingLoop => "non-terminating-loop",
+            Code::JumpOutsideLoop => "jump-outside-loop",
         }
     }
 
     /// All codes, in id order.
-    pub const ALL: [Code; 12] = [
+    pub const ALL: [Code; 13] = [
         Code::UndefinedVariable,
         Code::UseBeforeAssignment,
         Code::Unused,
@@ -97,6 +102,7 @@ impl Code {
         Code::TypeConfusion,
         Code::NumericDomain,
         Code::NonTerminatingLoop,
+        Code::JumpOutsideLoop,
     ];
 }
 
@@ -145,7 +151,7 @@ mod tests {
             ids,
             vec![
                 "W001", "W002", "W003", "W004", "W005", "W006", "W007", "W008", "W009", "W010",
-                "W011", "W012"
+                "W011", "W012", "W013"
             ]
         );
         let names: std::collections::BTreeSet<&str> = Code::ALL.iter().map(|c| c.name()).collect();

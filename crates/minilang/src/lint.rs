@@ -1,7 +1,7 @@
 //! The ResearchScript linter: one scoped walk per region (the top level,
-//! or one function body) yields the classic findings `W001`–`W007`; the
-//! abstract interpreter ([`crate::absint`]) adds the semantic ones from
-//! `W008` on.
+//! or one function body) yields the classic findings `W001`–`W007` and
+//! `W013`; the abstract interpreter ([`crate::absint`]) adds the semantic
+//! ones `W008`–`W012`.
 //!
 //! Entry points: [`lint`] on a parsed [`Program`], or [`lint_source`]
 //! straight from source text. Diagnostics come back sorted by line then
@@ -17,6 +17,7 @@
 //! | W006 | arity-mismatch | `sqrt(1, 2)` |
 //! | W007 | shadowing | `let x = 1; { let x = 2; }` |
 //! | W008 | division-by-zero | `n / 0` |
+//! | W013 | jump-outside-loop | `fn f(x) { if x { break; } return x; }` |
 //!
 //! Every construct nests and there is no `goto`, so reachability needs no
 //! control-flow graph. A statement *cannot complete normally* when it is
@@ -27,7 +28,9 @@
 //! stretch: it gets one W004, and the walk's `live` flag stays down until
 //! the enclosing branch or loop body ends. Every `let` has an initializer,
 //! so a name in scope is always assigned; resolution against the scope
-//! stack is the whole use-before-assignment story.
+//! stack is the whole use-before-assignment story. A loop-depth count,
+//! reset per region, finds the `break` or `continue` with no loop to leave,
+//! live or dead, which the bytecode compiler rejects.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -76,6 +79,7 @@ pub fn lint_with_analysis(
         unresolved_reads: BTreeSet::new(),
         unresolved_writes: Vec::new(),
         live: true,
+        loops: 0,
     };
     l.region(&[], 0, &program.main);
     for f in &program.functions {
@@ -137,6 +141,8 @@ struct Linter<'p> {
     unresolved_writes: Vec<(&'p str, u32)>,
     /// False inside a dead stretch that already has its W004.
     live: bool,
+    /// Loops enclosing the statement being walked.
+    loops: usize,
 }
 
 impl<'p> Linter<'p> {
@@ -151,6 +157,7 @@ impl<'p> Linter<'p> {
         self.symbols.clear();
         self.visible.clear();
         self.live = true;
+        self.loops = 0;
         for p in params {
             self.declare(p, Kind::Param, line);
         }
@@ -268,6 +275,14 @@ impl<'p> Linter<'p> {
         completes
     }
 
+    /// Walks a loop body, inside which `break` and `continue` have a loop
+    /// to leave.
+    fn walk_loop_body(&mut self, body: &'p Block) {
+        self.loops += 1;
+        self.walk_nested(body);
+        self.loops -= 1;
+    }
+
     /// Walks one statement and returns whether it can complete normally.
     fn walk_stmt(&mut self, stmt: &'p Stmt) -> bool {
         match &stmt.kind {
@@ -323,7 +338,7 @@ impl<'p> Linter<'p> {
                     ),
                     None => {}
                 }
-                self.walk_nested(body);
+                self.walk_loop_body(body);
             }
             StmtKind::ForRange {
                 var,
@@ -337,7 +352,7 @@ impl<'p> Linter<'p> {
                 self.walk_expr(end);
                 let scope = self.visible.len();
                 self.declare(var, Kind::LoopVar, stmt.line);
-                self.walk_nested(body);
+                self.walk_loop_body(body);
                 self.visible.truncate(scope);
             }
             StmtKind::Return(v) => {
@@ -346,7 +361,21 @@ impl<'p> Linter<'p> {
                 }
                 return false;
             }
-            StmtKind::Break | StmtKind::Continue => return false,
+            StmtKind::Break | StmtKind::Continue => {
+                if self.loops == 0 {
+                    let jump = if matches!(stmt.kind, StmtKind::Break) {
+                        "break"
+                    } else {
+                        "continue"
+                    };
+                    self.warn(
+                        Code::JumpOutsideLoop,
+                        stmt.line,
+                        format!("`{jump}` outside a loop"),
+                    );
+                }
+                return false;
+            }
             StmtKind::Block(b) => return self.walk_block(b),
         }
         true
@@ -673,6 +702,48 @@ mod tests {
             codes("fn f(d) { return 4 / d; } f(2)").is_empty(),
             "possibly-zero divisor must not warn"
         );
+    }
+
+    /// Whether the bytecode compiler accepts `src`.
+    fn compiles(src: &str) -> bool {
+        crate::bytecode::compile(&parse(src).expect("parses")).is_ok()
+    }
+
+    #[test]
+    fn w013_jump_outside_loop() {
+        // A `break` in a function with no loop of its own: the compiler
+        // rejects it, so the check must not pass it.
+        let src = "fn f(x) { if x { break; } return x; } f(0)";
+        assert_eq!(findings(src), vec![(Code::JumpOutsideLoop, 1)]);
+        assert!(!compiles(src));
+        // A top-level `continue` gets W013, not only the W004 its dead
+        // successor draws.
+        let src = "continue;\n1";
+        assert_eq!(
+            findings(src),
+            vec![(Code::JumpOutsideLoop, 1), (Code::UnreachableCode, 2)]
+        );
+        assert!(!compiles(src));
+        // Dead code still has to compile.
+        let src = "fn f() {\n return 1;\n break;\n}\nf()";
+        assert_eq!(
+            findings(src),
+            vec![(Code::UnreachableCode, 3), (Code::JumpOutsideLoop, 3)]
+        );
+        assert!(!compiles(src));
+        // A loop around the call site is another region's loop.
+        let src = "fn g() { continue; } for i in range(0, 3) { g(); }";
+        assert_eq!(codes(src), vec!["W013"]);
+        assert!(!compiles(src));
+        // Jumps inside loops, nested or not, are fine.
+        for src in [
+            "fn f(n) { for i in range(0, n) { if i > 2 { break; } } return n; } f(4)",
+            "let i = 0; while i < 3 { i = i + 1; { continue; } }",
+            "for i in range(0, 2) { while true { break; } continue; }",
+        ] {
+            assert!(codes(src).is_empty(), "`{src}`: {:?}", codes(src));
+            assert!(compiles(src), "`{src}`");
+        }
     }
 
     #[test]

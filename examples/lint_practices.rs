@@ -1,6 +1,6 @@
 //! Static analysis as a software-engineering practice: runs `rsc --check`'s
 //! analyzer over a deliberately sloppy script corpus — one snippet per
-//! warning code W001–W012 — then sets the result against the paper's E7
+//! warning code W001–W013 — then sets the result against the paper's E7
 //! practice-adoption table (Table 4), where linting sits alongside testing
 //! and code review among the practices research code mostly lacks.
 //!
@@ -32,6 +32,10 @@ const SLOPPY: &[(&str, &str)] = &[
     ("str_math.rsc", "let s = \"x\";\ns * 2"),
     ("neg_sqrt.rsc", "let n = 0 - 1;\nsqrt(n)"),
     ("spin.rsc", "let i = 0;\nwhile i < 10 {\n  i;\n}\ni"),
+    (
+        "stray_break.rsc",
+        "fn f(x) {\n  if x {\n    break;\n  }\n  return x;\n}\nf(0)",
+    ),
 ];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

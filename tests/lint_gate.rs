@@ -46,7 +46,7 @@ fn perf_study_scripts_lint_clean() {
 #[test]
 fn every_code_fires_on_its_minimal_trigger() {
     // The minimal triggering examples documented in the minilang README.
-    let triggers: [(Code, &str); 12] = [
+    let triggers: [(Code, &str); 13] = [
         (Code::UndefinedVariable, "let a = 1; a + typo"),
         (Code::UseBeforeAssignment, "acc = acc + 1; let acc = 0; acc"),
         (Code::Unused, "let x = 1; 2"),
@@ -59,6 +59,10 @@ fn every_code_fires_on_its_minimal_trigger() {
         (Code::TypeConfusion, "let s = \"x\"; s * 2"),
         (Code::NumericDomain, "let n = 0 - 1; sqrt(n)"),
         (Code::NonTerminatingLoop, "let i = 0; while i < 10 { i; }"),
+        (
+            Code::JumpOutsideLoop,
+            "fn f(x) { if x { break; } return x; } f(0)",
+        ),
     ];
     for (code, src) in triggers {
         let diags = lint::lint_source(src).expect("trigger parses");
